@@ -115,8 +115,9 @@ struct Measurement {
   double p99_us = 0;
 };
 
-// Opens `num_conns` keep-alive connections, then round-robins
-// `calls_per_conn` echo calls over each from `num_threads` workers.
+// Opens `num_conns` keep-alive connections, then runs `calls_per_conn`
+// echo calls over each from `num_threads` workers, each owning a
+// disjoint set of connections.
 Measurement RunScale(int port, int num_conns, int calls_per_conn,
                      int num_threads) {
   std::vector<net::TcpSocket> conns;
@@ -158,9 +159,9 @@ Measurement RunScale(int port, int num_conns, int calls_per_conn,
     for (std::thread& t : warmers) t.join();
   }
 
-  // Measured phase: threads claim connections round-robin; one call in
-  // flight per connection, num_threads calls in flight overall.
-  std::atomic<int64_t> next_slot{0};
+  // Measured phase: worker t owns connections t, t+T, t+2T, ... and
+  // round-robins calls_per_conn calls over them, so no two threads ever
+  // drive one socket; up to num_threads calls are in flight overall.
   const int64_t total_calls =
       static_cast<int64_t>(num_conns) * calls_per_conn;
   std::vector<std::vector<double>> latencies(num_threads);
@@ -171,17 +172,17 @@ Measurement RunScale(int port, int num_conns, int calls_per_conn,
     workers.emplace_back([&, t] {
       std::vector<double>& mine = latencies[t];
       mine.reserve(total_calls / num_threads + 1);
-      int64_t slot;
-      while ((slot = next_slot.fetch_add(1, std::memory_order_relaxed)) <
-             total_calls) {
-        net::TcpSocket& conn = conns[slot % num_conns];
-        Micros begin = SteadyNowUs();
-        if (!net::SendFrame(conn, payload).ok() ||
-            !net::RecvFrame(conn).ok()) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-          continue;
+      for (int call = 0; call < calls_per_conn; ++call) {
+        for (int c = t; c < num_conns; c += num_threads) {
+          net::TcpSocket& conn = conns[c];
+          Micros begin = SteadyNowUs();
+          if (!net::SendFrame(conn, payload).ok() ||
+              !net::RecvFrame(conn).ok()) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+            continue;
+          }
+          mine.push_back(static_cast<double>(SteadyNowUs() - begin));
         }
-        mine.push_back(static_cast<double>(SteadyNowUs() - begin));
       }
     });
   }

@@ -103,36 +103,68 @@ Result<std::vector<uint8_t>> Decompress(const std::vector<uint8_t>& input) {
   }
   uint64_t original_size = 0;
   HEDC_RETURN_IF_ERROR(reader.GetVarint(&original_size));
-  std::vector<uint8_t> out;
-  out.reserve(original_size);
-  while (!reader.AtEnd()) {
-    uint8_t tag = 0;
-    HEDC_RETURN_IF_ERROR(reader.GetU8(&tag));
+  // The header size is untrusted. No token is shorter than three bytes
+  // or expands past kMaxMatch, which bounds what the input can decode
+  // to. The output buffer trusts it only up to the input's own size
+  // (raw units barely compress) and grows as real tokens arrive.
+  if (original_size > reader.remaining() / 3 * kMaxMatch) {
+    return Status::Corruption("hzip size exceeds what the stream can hold");
+  }
+  std::vector<uint8_t> out(std::min<uint64_t>(original_size, input.size()));
+  size_t produced = 0;
+  // Makes room for `n` more bytes; callers have checked n against
+  // original_size - produced.
+  auto grow_for = [&](uint64_t n) {
+    if (out.size() - produced < n) {
+      out.resize(std::min<uint64_t>(
+          original_size, std::max<uint64_t>(2 * out.size(), produced + n)));
+    }
+  };
+  const uint8_t* p = input.data() + reader.position();
+  const uint8_t* const end = input.data() + input.size();
+  while (p != end) {
+    uint8_t tag = *p++;
+    uint64_t room = original_size - produced;
     if (tag == 0x00) {
       uint64_t n = 0;
-      HEDC_RETURN_IF_ERROR(reader.GetVarint(&n));
-      if (n > reader.remaining()) {
+      if (const char* error = ReadVarint(p, end, &n)) {
+        return Status::Corruption(error);
+      }
+      if (n > static_cast<uint64_t>(end - p)) {
         return Status::Corruption("hzip literal run past end");
       }
-      size_t old = out.size();
-      out.resize(old + n);
-      HEDC_RETURN_IF_ERROR(reader.GetBytes(out.data() + old, n));
+      if (n > room) return Status::Corruption("hzip output overrun");
+      grow_for(n);
+      std::copy(p, p + n, out.begin() + produced);
+      p += n;
+      produced += n;
     } else if (tag == 0x01) {
       uint64_t dist = 0, len = 0;
-      HEDC_RETURN_IF_ERROR(reader.GetVarint(&dist));
-      HEDC_RETURN_IF_ERROR(reader.GetVarint(&len));
-      if (dist == 0 || dist > out.size()) {
+      const char* error = ReadVarint(p, end, &dist);
+      if (error == nullptr) error = ReadVarint(p, end, &len);
+      if (error != nullptr) return Status::Corruption(error);
+      if (dist == 0 || dist > produced) {
         return Status::Corruption("hzip back-reference out of window");
       }
-      size_t src = out.size() - dist;
-      for (uint64_t k = 0; k < len; ++k) {
-        out.push_back(out[src + k]);  // may overlap (run-length style)
+      if (len > kMaxMatch || len > room) {
+        return Status::Corruption("hzip output overrun");
       }
+      grow_for(len);
+      uint8_t* dst = out.data() + produced;
+      const uint8_t* src = dst - dist;
+      if (dist >= len) {
+        std::memcpy(dst, src, len);
+      } else {
+        // Overlapping (run-length style): each byte may be one just
+        // written.
+        for (uint64_t k = 0; k < len; ++k) dst[k] = src[k];
+      }
+      produced += len;
     } else {
       return Status::Corruption("hzip bad token tag");
     }
   }
-  if (out.size() != original_size) {
+  if (produced != original_size) {
     return Status::Corruption("hzip size mismatch after decode");
   }
   return out;

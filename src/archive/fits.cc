@@ -116,13 +116,14 @@ Result<FitsFile> FitsFile::Parse(const std::vector<uint8_t>& bytes) {
     if (len > reader.remaining()) {
       return Status::Corruption("truncated HDU");
     }
-    std::vector<uint8_t> body(len);
-    HEDC_RETURN_IF_ERROR(reader.GetBytes(body.data(), len));
-    if (Crc32(body) != crc) {
+    // Verify and read the body in place: no copy of the HDU span.
+    const uint8_t* body = bytes.data() + reader.position();
+    HEDC_RETURN_IF_ERROR(reader.Skip(len));
+    if (Crc32(body, len) != crc) {
       return Status::Corruption(StrFormat("HDU %llu CRC mismatch",
                                           static_cast<unsigned long long>(h)));
     }
-    ByteReader body_reader(body);
+    ByteReader body_reader(body, len);
     FitsHdu hdu;
     HEDC_RETURN_IF_ERROR(body_reader.GetString(&hdu.name));
     uint64_t num_cards = 0;
@@ -136,8 +137,12 @@ Result<FitsFile> FitsFile::Parse(const std::vector<uint8_t>& bytes) {
     }
     uint64_t data_len = 0;
     HEDC_RETURN_IF_ERROR(body_reader.GetVarint(&data_len));
-    hdu.data.resize(data_len);
-    HEDC_RETURN_IF_ERROR(body_reader.GetBytes(hdu.data.data(), data_len));
+    // Untrusted length: check it against the body before allocating.
+    if (data_len > body_reader.remaining()) {
+      return Status::Corruption("truncated HDU data");
+    }
+    const uint8_t* data = body + body_reader.position();
+    hdu.data.assign(data, data + data_len);
     file.hdus_.push_back(std::move(hdu));
   }
   return file;

@@ -67,6 +67,27 @@ class ByteBuffer {
   std::vector<uint8_t> data_;
 };
 
+// Reads one LEB128 varint at `p`, advancing it; returns nullptr on
+// success, else the corruption message. A tenth byte may carry only
+// bit 63. kChecked = false is for hot loops that have already checked
+// that ten bytes are readable, which bounds any terminating varint.
+template <bool kChecked = true>
+inline const char* ReadVarint(const uint8_t*& p, const uint8_t* end,
+                              uint64_t* out) {
+  uint64_t v = 0;
+  int shift = 0;
+  while (true) {
+    if (kChecked && p == end) return "truncated varint";
+    uint8_t b = *p++;
+    if (shift >= 63 && (b & ~uint8_t{1})) return "varint overflow";
+    v |= static_cast<uint64_t>(b & 0x7f) << shift;
+    if (!(b & 0x80)) break;
+    shift += 7;
+  }
+  *out = v;
+  return nullptr;
+}
+
 // Sequential reader over an externally-owned byte span. All getters report
 // kCorruption on truncated input so callers can surface torn records.
 class ByteReader {
@@ -98,23 +119,15 @@ class ByteReader {
   }
 
   Status GetVarint(uint64_t* out) {
-    uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-      if (pos_ >= size_) return Status::Corruption("truncated varint");
-      uint8_t b = data_[pos_++];
-      if (shift >= 63 && (b & ~uint8_t{1})) {
-        return Status::Corruption("varint overflow");
-      }
-      v |= static_cast<uint64_t>(b & 0x7f) << shift;
-      if (!(b & 0x80)) break;
-      shift += 7;
+    const uint8_t* p = data_ + pos_;
+    if (const char* error = ReadVarint(p, data_ + size_, out)) {
+      return Status::Corruption(error);
     }
-    *out = v;
+    pos_ = static_cast<size_t>(p - data_);
     return Status::Ok();
   }
   Status GetSignedVarint(int64_t* out) {
-    uint64_t raw;
+    uint64_t raw = 0;
     HEDC_RETURN_IF_ERROR(GetVarint(&raw));
     *out = static_cast<int64_t>((raw >> 1) ^ (~(raw & 1) + 1));
     return Status::Ok();

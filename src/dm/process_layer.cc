@@ -282,6 +282,10 @@ Result<DataLoadReport> ProcessLayer::RecalibrateUnit(
   if (arch == nullptr) return Status::Unavailable("raw archive offline");
   std::vector<uint8_t> new_packed = new_unit.Pack();
   HEDC_RETURN_IF_ERROR(arch->Write(name.rel_path, new_packed));
+  // Re-derive the progressive views from the recalibrated photons before
+  // the version bump: a /view or /approx miss keyed on the new version
+  // must never read the old view file and cache it under the new key.
+  WriteViewFile(new_unit);
   HEDC_ASSIGN_OR_RETURN(
       db::ResultSet upd,
       dm_->io().Update(
@@ -297,9 +301,6 @@ Result<DataLoadReport> ProcessLayer::RecalibrateUnit(
       StrFormat("from_version=%d", old_version));
   // Version bump is durable: dependent derived products are now stale.
   if (unit_invalidator_) unit_invalidator_(unit_id);
-  // Re-derive the progressive views from the recalibrated photons so a
-  // post-invalidation prefix request rebuilds against fresh data.
-  WriteViewFile(new_unit);
 
   // Supersede HLEs derived from this unit: re-detect on the new photons.
   DataLoadReport report;

@@ -92,7 +92,9 @@ class ProcessLayer {
   // Recalibration changes a unit's content: derived-product caches (see
   // pl::ProductCache) register here to drop dependent entries. Invoked
   // after the version bump is durable in raw_units, so a racing cache
-  // miss keyed on the old version can never survive the drop.
+  // miss keyed on the old version can never survive the drop; the view
+  // file is rewritten before the bump, so a miss keyed on the new
+  // version reads the new view.
   using UnitInvalidator = std::function<void(int64_t unit_id)>;
   void SetDerivedProductInvalidator(UnitInvalidator fn) {
     unit_invalidator_ = std::move(fn);

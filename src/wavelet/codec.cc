@@ -1,6 +1,7 @@
 #include "wavelet/codec.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "core/bytes.h"
@@ -23,11 +24,8 @@ bool IsPow2(uint64_t n) { return n != 0 && (n & (n - 1)) == 0; }
 // Resolution level of a coefficient index in the fully-decomposed Haar
 // layout: index 0 is the scaling (DC) coefficient (level 0); detail
 // level l >= 1 occupies indices [2^(l-1), 2^l).
-size_t LevelOfIndex(size_t index) {
-  size_t level = 0;
-  while ((1ull << level) <= index) ++level;
-  return level;  // == floor(log2(index)) + 1 for index >= 1
-}
+// That is the index's bit width: floor(log2(index)) + 1, and 0 for 0.
+size_t LevelOfIndex(size_t index) { return std::bit_width(index); }
 
 size_t LevelCount(size_t padded_len) {
   size_t levels = 1;

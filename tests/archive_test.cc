@@ -9,8 +9,12 @@
 #include "archive/compression.h"
 #include "archive/fits.h"
 #include "archive/name_mapper.h"
+#include "core/bytes.h"
+#include "core/crc32.h"
 #include "core/metrics.h"
 #include "core/rng.h"
+#include "rhessi/raw_unit.h"
+#include "rhessi/telemetry.h"
 
 namespace hedc::archive {
 namespace {
@@ -108,6 +112,223 @@ TEST(CompressionTest, CorruptStreamRejected) {
   std::vector<uint8_t> compressed = Compress({1, 2, 3, 4, 5});
   compressed.push_back(0x07);  // bad trailing token
   EXPECT_FALSE(Decompress(compressed).ok());
+}
+
+TEST(FitsTest, HostileDataLengthRejectedBeforeAllocating) {
+  // A CRC-valid HDU whose data length overstates its body must fail
+  // cleanly instead of sizing the payload by the forged length.
+  for (uint64_t data_len : {uint64_t{1} << 60, uint64_t{5}}) {
+    ByteBuffer body;
+    body.PutString("DATA");
+    body.PutVarint(0);  // no cards
+    body.PutVarint(data_len);
+    body.PutBytes(reinterpret_cast<const uint8_t*>("abcd"), 4);
+    ByteBuffer file;
+    file.PutU32(0x48465453);  // "HFTS"
+    file.PutU32(1);
+    file.PutVarint(1);
+    file.PutU32(Crc32(body.data()));
+    file.PutVarint(body.size());
+    file.PutBytes(body.data().data(), body.size());
+    EXPECT_EQ(FitsFile::Parse(file.data()).status().code(),
+              StatusCode::kCorruption)
+        << data_len;
+  }
+}
+
+// hzip stream from raw tokens: header size, then the token bytes.
+std::vector<uint8_t> HzipStream(uint64_t original_size,
+                                const std::vector<uint8_t>& tokens) {
+  ByteBuffer out;
+  out.PutU32(0x485a4950);  // "HZIP"
+  out.PutVarint(original_size);
+  out.PutBytes(tokens.data(), tokens.size());
+  return std::move(out).TakeData();
+}
+
+// The inverse: an hzip stream's header size and its token bytes.
+std::vector<uint8_t> HzipTokens(const std::vector<uint8_t>& stream,
+                                uint64_t* original_size) {
+  ByteReader reader(stream);
+  uint32_t magic = 0;
+  EXPECT_TRUE(reader.GetU32(&magic).ok());
+  EXPECT_TRUE(reader.GetVarint(original_size).ok());
+  return std::vector<uint8_t>(stream.begin() + reader.position(),
+                              stream.end());
+}
+
+TEST(CompressionTest, HostileHeaderSizeRejected) {
+  // One literal byte cannot expand to an exabyte.
+  EXPECT_EQ(Decompress(HzipStream(uint64_t{1} << 60, {0x00, 1, 'x'}))
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+  // Nor can a real stream be stretched by forging its header.
+  std::vector<uint8_t> data(3000);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = "hedc"[i % 4];
+  uint64_t size = 0;
+  std::vector<uint8_t> tokens = HzipTokens(Compress(data), &size);
+  ASSERT_TRUE(Decompress(HzipStream(size, tokens)).ok());
+  for (uint64_t forged : {uint64_t{0}, size - 1, size + 1, 2 * size,
+                          uint64_t{1} << 32, uint64_t{1} << 62}) {
+    EXPECT_EQ(Decompress(HzipStream(forged, tokens)).status().code(),
+              StatusCode::kCorruption)
+        << forged;
+  }
+}
+
+TEST(CompressionTest, BackReferenceOverrunRejected) {
+  const std::vector<uint8_t> literal = {0x00, 4, 'a', 'b', 'c', 'd'};
+  auto with_reference = [&](uint64_t dist, uint64_t len) {
+    ByteBuffer tokens;
+    tokens.PutBytes(literal.data(), literal.size());
+    tokens.PutU8(0x01);
+    tokens.PutVarint(dist);
+    tokens.PutVarint(len);
+    return HzipStream(8, tokens.data());
+  };
+  auto ok = Decompress(with_reference(4, 4));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(std::string(ok.value().begin(), ok.value().end()), "abcdabcd");
+  auto overlapping = Decompress(with_reference(1, 4));
+  ASSERT_TRUE(overlapping.ok());
+  EXPECT_EQ(std::string(overlapping.value().begin(), overlapping.value().end()),
+            "abcddddd");
+  // One byte past the declared size, or a length that would grow the
+  // output without limit, is corruption — not an allocation.
+  for (uint64_t len : {uint64_t{5}, uint64_t{1} << 40}) {
+    EXPECT_EQ(Decompress(with_reference(4, len)).status().code(),
+              StatusCode::kCorruption)
+        << len;
+  }
+  EXPECT_EQ(Decompress(with_reference(5, 4)).status().code(),
+            StatusCode::kCorruption);  // reaches before the output
+}
+
+// --- hostile raw units: every mutation decodes or fails as corruption --
+
+class RawUnitMutationTest : public ::testing::Test {
+ protected:
+  RawUnitMutationTest() {
+    rhessi::TelemetryOptions options;
+    options.duration_sec = 300;
+    options.flares_per_hour = 9;
+    options.seed = 5;
+    rhessi::Telemetry telemetry = rhessi::GenerateTelemetry(options);
+    unit_ = rhessi::SegmentIntoUnits(telemetry.photons, 20000, 1).front();
+    packed_ = unit_.Pack();
+  }
+
+  // Unpack must return ok or kCorruption; anything else (or an abort)
+  // fails the test.
+  static void ExpectOkOrCorruption(const std::vector<uint8_t>& bytes) {
+    auto unpacked = rhessi::RawDataUnit::Unpack(bytes);
+    if (!unpacked.ok()) {
+      EXPECT_EQ(unpacked.status().code(), StatusCode::kCorruption)
+          << unpacked.status().ToString();
+    }
+  }
+
+  static void ExpectCorruption(const std::vector<uint8_t>& bytes) {
+    EXPECT_EQ(rhessi::RawDataUnit::Unpack(bytes).status().code(),
+              StatusCode::kCorruption);
+  }
+
+  // Repacks the unit with its PHOTONS payload replaced; the FITS CRC is
+  // recomputed, so the forged bytes reach the photon decoder.
+  std::vector<uint8_t> RepackWithPhotonData(std::vector<uint8_t> data) {
+    FitsFile fits = unit_.ToFits();
+    fits.hdus()[1].data = std::move(data);
+    return Compress(fits.Serialize());
+  }
+
+  rhessi::RawDataUnit unit_;
+  std::vector<uint8_t> packed_;
+};
+
+TEST_F(RawUnitMutationTest, SeededBitFlips) {
+  Rng rng(1201);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<uint8_t> bytes = packed_;
+    int flips = static_cast<int>(rng.UniformInt(1, 8));
+    for (int f = 0; f < flips; ++f) {
+      size_t at = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(bytes.size()) - 1));
+      bytes[at] ^= static_cast<uint8_t>(1u << rng.UniformInt(0, 7));
+    }
+    SCOPED_TRACE(trial);
+    ExpectOkOrCorruption(bytes);
+  }
+}
+
+TEST_F(RawUnitMutationTest, SeededTruncations) {
+  Rng rng(1202);
+  std::vector<size_t> sizes;
+  for (size_t size = 0; size < 64; ++size) sizes.push_back(size);
+  for (int i = 0; i < 200; ++i) {
+    sizes.push_back(static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(packed_.size()) - 1)));
+  }
+  for (size_t size : sizes) {
+    SCOPED_TRACE(size);
+    ExpectCorruption(
+        std::vector<uint8_t>(packed_.begin(), packed_.begin() + size));
+  }
+}
+
+TEST_F(RawUnitMutationTest, ForgedVarints) {
+  // hzip header size.
+  uint64_t size = 0;
+  std::vector<uint8_t> tokens = HzipTokens(packed_, &size);
+  for (uint64_t forged : {uint64_t{0}, size - 1, size + 1, 4 * size,
+                          uint64_t{1} << 40, ~uint64_t{0}}) {
+    SCOPED_TRACE(forged);
+    ExpectCorruption(HzipStream(forged, tokens));
+  }
+
+  // Photon count, behind a valid FITS CRC.
+  const std::vector<uint8_t> photons = rhessi::EncodePhotons(unit_.photons);
+  ByteReader photon_reader(photons);
+  uint32_t magic = 0;
+  uint64_t n = 0;
+  ASSERT_TRUE(photon_reader.GetU32(&magic).ok());
+  ASSERT_TRUE(photon_reader.GetVarint(&n).ok());
+  std::vector<uint8_t> records(photons.begin() + photon_reader.position(),
+                               photons.end());
+  auto with_count = [&](uint64_t count) {
+    ByteBuffer forged;
+    forged.PutU32(magic);
+    forged.PutVarint(count);
+    forged.PutBytes(records.data(), records.size());
+    return std::move(forged).TakeData();
+  };
+  ASSERT_TRUE(
+      rhessi::RawDataUnit::Unpack(RepackWithPhotonData(with_count(n))).ok());
+  for (uint64_t forged : {n - 1, n + 1, 2 * n, uint64_t{1} << 40,
+                          uint64_t{1} << 62, ~uint64_t{0}}) {
+    SCOPED_TRACE(forged);
+    ExpectCorruption(RepackWithPhotonData(with_count(forged)));
+  }
+
+  // Overlong varints inside the records: whichever field the run of
+  // 0xff bytes lands in, some varint sees ten continuation bytes.
+  Rng rng(1203);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<uint8_t> data = photons;
+    size_t at = static_cast<size_t>(
+        rng.UniformInt(8, static_cast<int64_t>(data.size()) - 12));
+    for (int i = 0; i < 11; ++i) data[at + i] = 0xff;
+    SCOPED_TRACE(trial);
+    ExpectCorruption(RepackWithPhotonData(std::move(data)));
+  }
+  for (int trial = 0; trial < 100; ++trial) {
+    std::vector<uint8_t> data = photons;
+    size_t at = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(data.size()) - 1));
+    data[at] = static_cast<uint8_t>(rng.UniformInt(0, 255));
+    SCOPED_TRACE(trial);
+    ExpectOkOrCorruption(RepackWithPhotonData(std::move(data)));
+  }
 }
 
 class PropertyCompressionTest : public ::testing::TestWithParam<uint64_t> {};

@@ -2,8 +2,13 @@
 // calibration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "archive/compression.h"
+#include "archive/fits.h"
+#include "core/bytes.h"
+#include "core/rng.h"
 #include "rhessi/calibration.h"
 #include "rhessi/event_detect.h"
 #include "rhessi/photon.h"
@@ -42,6 +47,139 @@ TEST(PhotonCodecTest, EmptyList) {
 
 TEST(PhotonCodecTest, BadMagicRejected) {
   EXPECT_FALSE(DecodePhotons({9, 9, 9, 9, 9}).ok());
+}
+
+// The field-at-a-time ByteReader decoder DecodePhotons replaced: the
+// oracle for its bit-identical output and its corruption outcomes.
+Result<PhotonList> ReferenceDecodePhotons(const std::vector<uint8_t>& bytes) {
+  ByteReader reader(bytes);
+  uint32_t magic = 0;
+  HEDC_RETURN_IF_ERROR(reader.GetU32(&magic));
+  if (magic != 0x48504831) {
+    return Status::Corruption("not a photon list (bad magic)");
+  }
+  uint64_t n = 0;
+  HEDC_RETURN_IF_ERROR(reader.GetVarint(&n));
+  PhotonList out;
+  int64_t prev_micros = 0;
+  for (uint64_t i = 0; i < n; ++i) {
+    int64_t dt = 0;
+    uint64_t energy_deci = 0;
+    uint8_t packed = 0;
+    HEDC_RETURN_IF_ERROR(reader.GetSignedVarint(&dt));
+    HEDC_RETURN_IF_ERROR(reader.GetVarint(&energy_deci));
+    HEDC_RETURN_IF_ERROR(reader.GetU8(&packed));
+    prev_micros += dt;
+    PhotonEvent p;
+    p.time_sec = static_cast<double>(prev_micros) * 1e-6;
+    p.energy_kev = static_cast<float>(energy_deci) / 10.0f;
+    p.detector = packed & 0x0f;
+    p.segment = packed >> 4;
+    out.push_back(p);
+  }
+  return out;
+}
+
+void ExpectSamePhotons(const PhotonList& actual, const PhotonList& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    // Exact, not approximate: the same arithmetic on the same bits.
+    ASSERT_EQ(actual[i].time_sec, expected[i].time_sec) << "photon " << i;
+    ASSERT_EQ(actual[i].energy_kev, expected[i].energy_kev) << "photon " << i;
+    ASSERT_EQ(actual[i].detector, expected[i].detector) << "photon " << i;
+    ASSERT_EQ(actual[i].segment, expected[i].segment) << "photon " << i;
+  }
+}
+
+// Both decoders agree on success, on the corruption class, and on every
+// decoded field.
+void ExpectDecodersAgree(const std::vector<uint8_t>& bytes) {
+  Result<PhotonList> fast = DecodePhotons(bytes);
+  Result<PhotonList> reference = ReferenceDecodePhotons(bytes);
+  ASSERT_EQ(fast.ok(), reference.ok());
+  if (!fast.ok()) {
+    EXPECT_EQ(fast.status().code(), StatusCode::kCorruption);
+    return;
+  }
+  ExpectSamePhotons(fast.value(), reference.value());
+}
+
+TEST(PhotonCodecTest, UnpackMatchesReferenceDecodeOnTelemetryUnits) {
+  for (uint64_t seed : {5u, 17u}) {
+    TelemetryOptions options;
+    options.duration_sec = 600;
+    options.flares_per_hour = 9;
+    options.seed = seed;
+    Telemetry telemetry = GenerateTelemetry(options);
+    for (const RawDataUnit& unit :
+         SegmentIntoUnits(telemetry.photons, 40000, 1)) {
+      std::vector<uint8_t> packed = unit.Pack();
+      auto unpacked = RawDataUnit::Unpack(packed);
+      ASSERT_TRUE(unpacked.ok()) << unpacked.status().ToString();
+      auto raw = archive::Decompress(packed);
+      ASSERT_TRUE(raw.ok());
+      auto fits = archive::FitsFile::Parse(raw.value());
+      ASSERT_TRUE(fits.ok());
+      const archive::FitsHdu* hdu = fits.value().FindHdu("PHOTONS");
+      ASSERT_NE(hdu, nullptr);
+      auto reference = ReferenceDecodePhotons(hdu->data);
+      ASSERT_TRUE(reference.ok());
+      ExpectSamePhotons(unpacked.value().photons, reference.value());
+    }
+  }
+}
+
+TEST(PhotonCodecTest, TruncationsFlipsAndOverlongVarintsMatchReference) {
+  PhotonList photons;
+  Rng rng(8);
+  double t = 0;
+  for (int i = 0; i < 60; ++i) {
+    t += rng.Uniform(0, i % 7 == 0 ? 4000 : 0.01);  // 1..4 byte deltas
+    PhotonEvent p;
+    p.time_sec = t;
+    p.energy_kev = static_cast<float>(rng.Uniform(3, 20000));
+    p.detector = static_cast<uint8_t>(rng.UniformInt(0, 8));
+    p.segment = static_cast<uint8_t>(rng.UniformInt(0, 1));
+    photons.push_back(p);
+  }
+  std::vector<uint8_t> stream = EncodePhotons(photons);
+  // Every truncation crosses both the fast path and the checked tail.
+  for (size_t size = 0; size <= stream.size(); ++size) {
+    SCOPED_TRACE(size);
+    ExpectDecodersAgree(
+        std::vector<uint8_t>(stream.begin(), stream.begin() + size));
+  }
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<uint8_t> flipped = stream;
+    size_t at = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(flipped.size()) - 1));
+    flipped[at] ^= static_cast<uint8_t>(1u << rng.UniformInt(0, 7));
+    SCOPED_TRACE(trial);
+    ExpectDecodersAgree(flipped);
+  }
+  // An overlong varint (a run of 0xff) at every position, in the fast
+  // path and in the checked tail.
+  for (size_t at = 5; at + 11 <= stream.size(); ++at) {
+    std::vector<uint8_t> overlong = stream;
+    std::fill_n(overlong.begin() + at, 11, 0xff);
+    SCOPED_TRACE(at);
+    ASSERT_FALSE(DecodePhotons(overlong).ok());
+    ExpectDecodersAgree(overlong);
+  }
+}
+
+TEST(PhotonCodecTest, HostileCountRejectedBeforeAllocating) {
+  // A count no payload could hold must fail cleanly, not size a
+  // multi-exabyte vector.
+  for (uint64_t n : {uint64_t{1} << 62, uint64_t{1} << 40, uint64_t{4}}) {
+    ByteBuffer buf;
+    buf.PutU32(0x48504831);
+    buf.PutVarint(n);
+    for (int i = 0; i < 9; ++i) buf.PutU8(0x01);  // room for 3 records
+    auto decoded = DecodePhotons(buf.data());
+    ASSERT_FALSE(decoded.ok()) << n;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  }
 }
 
 TEST(PhotonTest, CountInWindow) {

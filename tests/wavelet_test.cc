@@ -6,6 +6,7 @@
 #include <initializer_list>
 #include <utility>
 
+#include "core/content_hash.h"
 #include "core/rng.h"
 #include "wavelet/codec.h"
 #include "wavelet/haar.h"
@@ -271,6 +272,32 @@ TEST(ProgressiveCodecTest, FullDecodeBitIdenticalToLegacyFormat) {
       EXPECT_EQ(legacy.value()[i], progressive.value()[i]) << "bin " << i;
     }
   }
+}
+
+// HWV3 bytes are stored view files and cache keys' content: the encoder
+// must keep emitting exactly these streams (digests recorded from the
+// loop-based level lookup the bit-width one replaced).
+TEST(ProgressiveCodecTest, EncoderBytesMatchRecordedDigests) {
+  auto digest = [](const std::vector<uint8_t>& bytes) {
+    return Fnv1a64(bytes.data(), bytes.size());
+  };
+  std::vector<double> flare = FlareLikeSignal(1000, 3);
+  std::vector<uint8_t> a = EncodeSignalProgressive(flare);
+  EXPECT_EQ(a.size(), 5199u);
+  EXPECT_EQ(digest(a), 0x0240a5cdd670843cull);
+  CodecOptions coarse;
+  coarse.quant_step = 1e-3;
+  std::vector<uint8_t> b = EncodeSignalProgressive(flare, coarse);
+  EXPECT_EQ(b.size(), 3941u);
+  EXPECT_EQ(digest(b), 0xac5b2402251dce00ull);
+  // Small integer counts: many equal magnitudes exercise the
+  // level / magnitude / index ordering.
+  Rng rng(11);
+  std::vector<double> counts(1024);
+  for (double& v : counts) v = static_cast<double>(rng.UniformInt(0, 4));
+  std::vector<uint8_t> c = EncodeSignalProgressive(counts);
+  EXPECT_EQ(c.size(), 4786u);
+  EXPECT_EQ(digest(c), 0xebe0ac14da61d929ull);
 }
 
 TEST(ProgressiveCodecTest, EveryLevelPrefixDecodesWithinBound) {

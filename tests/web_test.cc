@@ -308,6 +308,44 @@ TEST_F(WebStackTest, RecalibrationInvalidatesEveryViewResolution) {
   ASSERT_TRUE(decoded.ok());
 }
 
+TEST_F(WebStackTest, ViewMissDuringInvalidationSeesRecalibratedView) {
+  // A /view miss that lands while the recalibration fires its
+  // invalidator keys on the new calibration version, so it must already
+  // read (and cache) the new view file, never the old one.
+  HttpRequest energy = MakeRequest("/view?unit=1&kind=energy&resolution=-1");
+  HttpResponse before = stack_.web_server->Dispatch(energy);
+  ASSERT_EQ(before.status_code, 200);
+  std::vector<uint8_t> seen_in_hook;
+  stack_.process->SetDerivedProductInvalidator([&](int64_t unit_id) {
+    stack_.product_cache->InvalidateUnit(unit_id);
+    HttpResponse racing = stack_.web_server->Dispatch(energy);
+    EXPECT_EQ(racing.status_code, 200);
+    seen_in_hook = racing.binary_body;
+  });
+  rhessi::CalibrationTable calibrations;
+  rhessi::CalibrationVersion v2;
+  v2.version = 2;
+  for (double& g : v2.gain) g = 1.10;
+  ASSERT_TRUE(calibrations.Register(v2).ok());
+  auto recal = stack_.process->RecalibrateUnit(stack_.import_session, 1,
+                                               calibrations, 2);
+  ASSERT_TRUE(recal.ok()) << recal.status().ToString();
+
+  auto stored = stack_.data_manager->io().ReadItemFile(
+      dm::ProcessLayer::ViewItemId(1));
+  ASSERT_TRUE(stored.ok());
+  auto fits = archive::FitsFile::Parse(stored.value());
+  ASSERT_TRUE(fits.ok());
+  const archive::FitsHdu* view = fits.value().FindHdu("VIEW_E");
+  ASSERT_NE(view, nullptr);
+  ASSERT_NE(view->data, before.binary_body);  // the gain moved energies
+  EXPECT_EQ(seen_in_hook, view->data);
+  // And the entry that miss cached is the new view.
+  HttpResponse after = stack_.web_server->Dispatch(energy);
+  ASSERT_EQ(after.status_code, 200);
+  EXPECT_EQ(after.binary_body, view->data);
+}
+
 TEST_F(WebStackTest, ViewServedIdenticallyOverBothTcpEngines) {
   std::vector<std::string> bodies;
   for (bool use_reactor : {false, true}) {
