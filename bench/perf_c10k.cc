@@ -61,7 +61,6 @@ struct ServerChild {
       ::close(exit_pipe[1]);
       EchoRmi rmi;
       dm::TcpRmiServer::Options options;
-      options.use_reactor = true;
       options.reactor.workers = 2;
       // Connections are intentionally idle most of the time; only a
       // genuinely dead one should be reaped.

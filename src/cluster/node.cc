@@ -2,6 +2,8 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
+
 #include "dm/hedc_schema.h"
 
 namespace hedc::cluster {
@@ -12,8 +14,13 @@ SharedGate::SharedGate(int slots, Micros floor, Clock* clock)
 Micros SharedGate::Charge(const std::function<void()>& fn) {
   {
     std::unique_lock<std::mutex> lock(mu_);
-    slot_free_.wait(lock, [this] { return active_ < slots_; });
-    ++active_;
+    if (active_ < slots_ && waiters_.empty()) {
+      ++active_;
+    } else {
+      Waiter waiter;
+      waiters_.push_back(&waiter);
+      waiter.admitted_cv.wait(lock, [&waiter] { return waiter.admitted; });
+    }
   }
   Micros start = clock_->Now();
   fn();
@@ -26,8 +33,15 @@ Micros SharedGate::Charge(const std::function<void()>& fn) {
   calls_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    --active_;
-    slot_free_.notify_one();
+    if (waiters_.empty()) {
+      --active_;
+    } else {
+      // Hand the slot over; active_ already counts it.
+      Waiter* next = waiters_.front();
+      waiters_.pop_front();
+      next->admitted = true;
+      next->admitted_cv.notify_one();
+    }
   }
   return elapsed;
 }
@@ -116,8 +130,11 @@ Status ClusterNode::Boot() {
   gate_ = std::make_unique<NodeGate>(rmi_.get(), options_.executor_slots,
                                      options_.service_floor, clock_,
                                      &metrics_, options_.shared_db);
+  dm::TcpRmiServer::Options rmi_options = options_.rmi;
+  rmi_options.reactor.workers =
+      std::max(rmi_options.reactor.workers, options_.executor_slots);
   tcp_ = std::make_unique<dm::TcpRmiServer>(gate_.get(), &metrics_,
-                                            options_.rmi);
+                                            rmi_options);
   return StartServing();
 }
 

@@ -3,18 +3,20 @@
 // ClusterNode bootstraps the full per-node stack — its own Database
 // (optionally WAL-backed in a per-node directory), disk archive, name
 // mapper, DataManager, ProcessLayer and derived-product cache — and
-// serves it over a TcpRmiServer on an ephemeral loopback port. The RMI
-// frames pass through a NodeGate, a bounded executor modeling the fixed
-// CPU capacity of a real middle-tier node (the paper's testbed nodes had
-// two processors): at most `executor_slots` frames execute concurrently
-// and each is charged at least `service_floor` of wall time. The gate is
-// also the measurement point for per-node in-flight and busy-time
-// metrics, which the scale-out bench turns into utilization curves.
+// serves it over a TcpRmiServer (its own reactor) on an ephemeral
+// loopback port. The RMI frames pass through a NodeGate, a bounded
+// executor modeling the fixed CPU capacity of a real middle-tier node
+// (the paper's testbed nodes had two processors): at most
+// `executor_slots` frames execute concurrently and each is charged at
+// least `service_floor` of wall time. The gate is also the measurement
+// point for per-node in-flight and busy-time metrics, which the
+// scale-out bench turns into utilization curves.
 #ifndef HEDC_CLUSTER_NODE_H_
 #define HEDC_CLUSTER_NODE_H_
 
 #include <atomic>
 #include <condition_variable>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -38,7 +40,10 @@ namespace hedc::cluster {
 // concurrently across the whole cluster and each is charged at least
 // `floor` of wall time; its busy-time counter is what the scale-out
 // bench reports as shared_db_utilization — the resource whose saturation
-// produces the fig5 knee.
+// produces the fig5 knee. Slots are granted in arrival order: a node's
+// reactor worker that releases a slot picks up its next queued frame at
+// once, and with a plain condition variable it would barge past callers
+// already waiting, leaving some of them starved for 100+ ms.
 class SharedGate {
  public:
   SharedGate(int slots, Micros floor, Clock* clock);
@@ -58,9 +63,16 @@ class SharedGate {
   Micros floor_;
   Clock* clock_;
 
+  // A caller parked for a slot; a releasing caller hands its slot to the
+  // front waiter directly.
+  struct Waiter {
+    std::condition_variable admitted_cv;
+    bool admitted = false;
+  };
+
   std::mutex mu_;
-  std::condition_variable slot_free_;
   int active_ = 0;
+  std::deque<Waiter*> waiters_;  // arrival order
 
   std::atomic<int64_t> busy_us_{0};
   std::atomic<int64_t> calls_{0};
@@ -79,10 +91,10 @@ struct NodeOptions {
   // owned; nullptr = queries run ungated). Set by the cluster runner
   // when ClusterOptions::shared_db_slots > 0.
   SharedGate* shared_db = nullptr;
-  // RMI transport engine (blocking vs reactor) and tuning. The cluster
-  // runner points rmi.shared_reactor at its own reactor when net.reactor
-  // is on, so N nodes serve from one event loop instead of N thread
-  // armies.
+  // RMI transport tuning. The node serves from its own reactor with at
+  // least `executor_slots` workers: NodeGate holds a worker while a frame
+  // waits for a slot and sleeps out its floor, so fewer workers than
+  // slots would cap the node below its gate.
   dm::TcpRmiServer::Options rmi;
   dm::DataManager::Options dm;
   pl::ProductCache::Options cache;

@@ -7,26 +7,17 @@
 // reconnects lazily after any transport error, so a ResilientChannel
 // layered on top can simply retry.
 //
-// The server has two interchangeable engines, selected by
-// Options::use_reactor (config `net.reactor`):
-//  * blocking (default): an accept thread plus one thread per connection
-//    — simple, but caps concurrency at thread scale;
-//  * reactor: connections are parsed by a per-connection frame state
-//    machine on a shared epoll loop (net/reactor.h) and frames execute on
-//    its worker pool — C10K-capable, and many servers can share one
-//    Reactor (Options::shared_reactor), which is how a whole cluster's
-//    nodes serve without thread explosion.
-// Client-visible semantics are identical by construction and locked down
-// by tests/net_conformance_test.cc: framing errors drop the connection
+// TcpRmiServer serves from its own epoll reactor (net/reactor.h): a
+// per-connection frame state machine on the loop thread, frames executed
+// on the reactor's worker pool. Its client-visible semantics are pinned by
+// tests/net_conformance_test.cc: framing errors drop the connection
 // (peers observe kUnavailable), valid frames always get a response, and
 // Stop() kills in-flight calls.
 #ifndef HEDC_DM_TCP_REMOTE_H_
 #define HEDC_DM_TCP_REMOTE_H_
 
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/config.h"
@@ -39,37 +30,27 @@ namespace hedc::dm {
 
 // Serves RMI frames over TCP. Start() after Stop() reboots the server (on
 // a fresh ephemeral port when port 0 is used), which is how a cluster
-// node restarts. In blocking mode Stop() joins the accept and connection
-// threads; in reactor mode it drains this server's listener (an owned
-// reactor keeps running for the next Start(); a shared one is untouched).
+// node restarts. The reactor boots on the first Start and survives
+// Stop/Start cycles; Stop drains only this server's listener.
 class TcpRmiServer {
  public:
   struct Options {
-    // Serve through an epoll reactor instead of thread-per-connection.
-    bool use_reactor = false;
-    // Reactor tuning when this server owns its reactor.
+    // Worker count, timeouts and buffering of the server's reactor. A
+    // handler that blocks (e.g. cluster::NodeGate) holds a worker for
+    // the whole call, so workers bound the frames executing at once.
     net::Reactor::Options reactor;
-    // Serve on an existing (already started) reactor instead; not owned.
-    net::Reactor* shared_reactor = nullptr;
     // Frames whose header claims more than this are rejected before any
-    // payload allocation and the connection dropped (both engines).
+    // payload allocation and the connection dropped.
     size_t max_frame = 64u << 20;
-    // Blocking mode: per-recv silence deadline on each connection
-    // (0 = wait forever) — the counterpart of reactor idle reaping.
-    Micros blocking_idle_timeout = 0;
 
-    // Reads net.reactor plus the net.* reactor knobs (see
-    // net::Reactor::Options::FromConfig); net.idle_timeout_ms applies to
-    // both engines so the knob flips implementation, not policy.
+    // Reads net.max_frame_bytes plus the net.* reactor knobs (see
+    // net::Reactor::Options::FromConfig).
     static Options FromConfig(const Config& config);
   };
 
   explicit TcpRmiServer(RmiHandler* rmi, MetricsRegistry* metrics = nullptr)
       : TcpRmiServer(rmi, metrics, Options()) {}
-  TcpRmiServer(RmiHandler* rmi, MetricsRegistry* metrics, Options options)
-      : rmi_(rmi),
-        metrics_(metrics != nullptr ? metrics : MetricsRegistry::Default()),
-        options_(options) {}
+  TcpRmiServer(RmiHandler* rmi, MetricsRegistry* metrics, Options options);
   ~TcpRmiServer();
   TcpRmiServer(const TcpRmiServer&) = delete;
   TcpRmiServer& operator=(const TcpRmiServer&) = delete;
@@ -84,24 +65,13 @@ class TcpRmiServer {
   void Stop();
 
  private:
-  void AcceptLoop();
-  void ServeConnection(net::TcpSocket socket);
-  // The serving reactor (shared or lazily created owned instance).
-  net::Reactor* reactor();
-
   RmiHandler* rmi_;
   MetricsRegistry* metrics_;
   Options options_;
-  net::TcpListener listener_;
-  std::thread accept_thread_;
-  std::unique_ptr<net::Reactor> own_reactor_;
+  net::Reactor reactor_;
 
   mutable std::mutex mu_;
-  bool running_ = false;
-  bool stopping_ = false;
-  net::Reactor::ListenerInfo reactor_listener_;
-  std::vector<std::thread> connection_threads_;
-  std::vector<int> live_connection_fds_;
+  net::Reactor::ListenerInfo listener_;  // id < 0 when not serving
 };
 
 // Client-side channel: connects on first use, one in-flight call at a

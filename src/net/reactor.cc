@@ -384,17 +384,23 @@ void Reactor::LoopMain() {
       if (errno == EINTR) continue;
       break;
     }
+    // Drain the wakeup before taking the task batch: a Post that lands
+    // after the drain re-arms the eventfd for the next epoll_wait. The
+    // other order loses that wakeup, and the task waits out a sweep tick.
+    for (int i = 0; i < n; ++i) {
+      if (events[i].data.u64 == kWakeTag) {
+        uint64_t drained;
+        while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
+        }
+        break;
+      }
+    }
     RunPostedTasks();
     if (stop_loop_.load(std::memory_order_acquire)) break;
     for (int i = 0; i < n; ++i) {
       uint64_t tag = events[i].data.u64;
       uint32_t ev = events[i].events;
-      if (tag == kWakeTag) {
-        uint64_t drained;
-        while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
-        }
-        continue;
-      }
+      if (tag == kWakeTag) continue;
       if ((tag & kListenerTag) != 0) {
         AcceptReady(static_cast<int>(tag & ~kListenerTag));
         continue;
@@ -596,8 +602,7 @@ bool Reactor::FlushConn(Conn* c) {
 bool Reactor::MaybeCloseOnEof(Conn* c) {
   if (c->peer_eof && !c->dispatch_pending && c->out_bytes == 0) {
     // Peer finished sending and nothing is owed: a trailing partial
-    // request (if any) can never complete, so drop the connection — the
-    // same outcome the blocking server's RecvFrame-EOF path produces.
+    // request (if any) can never complete, so drop the connection.
     CloseConn(c, CloseReason::kNormal);
     return false;
   }

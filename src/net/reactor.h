@@ -1,4 +1,4 @@
-// Shared epoll reactor for the web and RMI transports (C10K; ROADMAP 3).
+// Epoll reactor for the web and RMI transports (C10K; ROADMAP 3).
 //
 // Both socket servers were thread-per-connection, which caps concurrent
 // clients at thread scale — nowhere near the paper's growing-user-base
@@ -11,10 +11,8 @@
 // handler never stalls the loop. Responses are queued back onto the loop
 // thread, written with backpressure (reading pauses above a write-buffer
 // watermark), and idle / incomplete-request / stalled-write connections
-// are reaped by deadline sweeps. One Reactor instance can carry many
-// listeners — a whole cluster's RMI ports plus the web tier — which is
-// what makes many-nodes x many-channels affordable: the thread count is
-// O(workers), not O(connections).
+// are reaped by deadline sweeps. The thread count is O(workers), not
+// O(connections); one Reactor instance can carry several listeners.
 //
 // Threading contract: ReactorProtocol callbacks run on the loop thread;
 // dispatched work runs on the worker pool; Reactor's public methods are

@@ -4,30 +4,23 @@
 // module puts them on real loopback sockets so browsers' dominant access
 // pattern — many keep-alive connections, mostly idle — is exercised for
 // real. HttpTcpServer wraps any handler (typically WebServer::Dispatch)
-// and, like dm::TcpRmiServer, has two interchangeable engines behind
-// Options::use_reactor / config `net.reactor`:
-//  * blocking: accept thread + thread per connection — fine for a lab,
-//    collapses at C10K;
-//  * reactor: per-connection incremental HTTP parser on a shared epoll
-//    loop (net/reactor.h), handlers on its worker pool.
-// Responses are serialized by one shared function, so the two engines are
-// byte-identical on the wire — the property the differential conformance
-// suite (tests/net_conformance_test.cc) pins down.
+// and, like dm::TcpRmiServer, serves it from its own epoll reactor
+// (net/reactor.h): a per-connection incremental HTTP parser on the loop
+// thread, handlers on the reactor's worker pool. The wire encoding is
+// pinned byte-for-byte by golden transcripts in
+// tests/net_conformance_test.cc.
 #ifndef HEDC_WEB_HTTP_TCP_H_
 #define HEDC_WEB_HTTP_TCP_H_
 
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/config.h"
 #include "core/metrics.h"
 #include "net/reactor.h"
 #include "web/http.h"
-#include "web/tcp.h"
 
 namespace hedc::web {
 
@@ -43,15 +36,13 @@ enum class HttpParseResult { kNeedMore, kOk, kBad };
 // `out` and sets `consumed` to the total request length (headers + body).
 // kNeedMore leaves both untouched; kBad means the connection should get a
 // 400 and be dropped (malformed request line/headers, oversized header
-// block or declared body). Shared by both engines so they accept and
-// reject exactly the same byte streams.
+// block or declared body).
 HttpParseResult ParseHttpRequest(const uint8_t* data, size_t n,
                                  size_t max_header, size_t max_body,
                                  ParsedHttpRequest* out, size_t* consumed);
 
-// The single wire encoding of a response, used by both engines:
-// status line, Content-Type, Content-Length, Connection, Set-Cookie
-// headers, then body + binary_body.
+// The wire encoding of a response: status line, Content-Type,
+// Content-Length, Connection, Set-Cookie headers, then body + binary_body.
 std::vector<uint8_t> SerializeHttpResponse(const HttpResponse& response,
                                            bool keep_alive);
 
@@ -63,16 +54,11 @@ class HttpTcpServer {
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
 
   struct Options {
-    bool use_reactor = false;
-    net::Reactor::Options reactor;       // used when owning the reactor
-    net::Reactor* shared_reactor = nullptr;  // not owned
+    net::Reactor::Options reactor;
     size_t max_header_bytes = 64u << 10;
     size_t max_body_bytes = 8u << 20;
-    // Blocking mode: per-recv silence deadline (0 = wait forever).
-    Micros blocking_idle_timeout = 0;
 
-    // net.reactor plus the net.* reactor knobs; net.idle_timeout_ms
-    // applies to both engines.
+    // The net.* reactor knobs (see net::Reactor::Options::FromConfig).
     static Options FromConfig(const Config& config);
   };
 
@@ -83,29 +69,21 @@ class HttpTcpServer {
   HttpTcpServer(const HttpTcpServer&) = delete;
   HttpTcpServer& operator=(const HttpTcpServer&) = delete;
 
+  // The reactor boots on the first Start and survives Stop/Start cycles;
+  // Stop drains only this server's listener.
   Status Start(int port = 0);
   int port() const;
   bool running() const;
   void Stop();
 
  private:
-  void AcceptLoop();
-  void ServeConnection(net::TcpSocket socket);
-  net::Reactor* reactor();
-
   Handler handler_;
   MetricsRegistry* metrics_;
   Options options_;
-  net::TcpListener listener_;
-  std::thread accept_thread_;
-  std::unique_ptr<net::Reactor> own_reactor_;
+  net::Reactor reactor_;
 
   mutable std::mutex mu_;
-  bool running_ = false;
-  bool stopping_ = false;
-  net::Reactor::ListenerInfo reactor_listener_;
-  std::vector<std::thread> connection_threads_;
-  std::vector<int> live_connection_fds_;
+  net::Reactor::ListenerInfo listener_;  // id < 0 when not serving
 };
 
 }  // namespace hedc::web

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -214,6 +217,83 @@ TEST(ClusterTest, BootsNodesAndRoutesInProcess) {
   std::string name = routed.value()->name();
   EXPECT_EQ(cluster.metrics()->GetCounter("cluster.routed." + name)->Value(),
             1);
+}
+
+// The shared DB tier grants slots in arrival order: a caller that
+// releases the slot and comes straight back (as a node's reactor worker
+// does with its next queued frame) queues behind callers already waiting
+// instead of barging past them.
+TEST(ClusterSharedGateTest, ReturningCallerCannotBargePastWaiter) {
+  SharedGate gate(/*slots=*/1, /*floor=*/0, RealClock::Instance());
+  std::mutex mu;
+  std::vector<std::string> order;
+  auto record = [&](const std::string& who) {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(who);
+  };
+  std::thread waiter;
+  gate.Charge([&] {
+    record("first");
+    waiter = std::thread([&] { gate.Charge([&] { record("waiter"); }); });
+    // Give the waiter time to park on the held slot.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  });
+  gate.Charge([&] { record("returning"); });
+  waiter.join();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"first", "waiter", "returning"}));
+  EXPECT_EQ(gate.calls(), 3);
+}
+
+// A node runs as many frames at once as it has executor slots: its
+// reactor gets a worker per slot, since NodeGate holds the worker while a
+// frame sleeps out its service floor. 8 calls pinned 4 per node onto
+// 4-slot nodes therefore overlap into one floor; with 2 workers per node
+// they would need two.
+TEST(ClusterTest, NodeRunsAsManyConcurrentFramesAsExecutorSlots) {
+  constexpr Micros kFloor = 50 * kMicrosPerMilli;
+  constexpr int kNodes = 2;
+  constexpr int kCallsPerNode = 4;
+  ClusterOptions options;
+  options.nodes = kNodes;
+  options.node.executor_slots = kCallsPerNode;
+  options.node.service_floor = kFloor;
+  options.node.enable_product_cache = false;
+  MetricsRegistry metrics;
+  ClusterRunner runner(options, RealClock::Instance(), &metrics);
+  ASSERT_TRUE(runner.Start().ok());
+
+  std::vector<std::string> served(kNodes * kCallsPerNode);
+  std::vector<std::thread> callers;
+  Clock* clock = RealClock::Instance();
+  Micros start = clock->Now();
+  for (int n = 0; n < kNodes; ++n) {
+    for (int i = 0; i < kCallsPerNode; ++i) {
+      callers.emplace_back([&runner, &served, n, slot = n * kCallsPerNode + i] {
+        dm::TcpChannel channel("127.0.0.1", runner.node(n)->port());
+        dm::RemoteDm remote(&channel);
+        // The identity row names the serving node.
+        auto rs = remote.Execute("SELECT name FROM users WHERE user_id = 1",
+                                 {});
+        if (rs.ok() && rs.value().num_rows() == 1) {
+          served[slot] = rs.value().Get(0, "name").AsText();
+        }
+      });
+    }
+  }
+  for (std::thread& t : callers) t.join();
+  Micros elapsed = clock->Now() - start;
+
+  for (int n = 0; n < kNodes; ++n) {
+    for (int i = 0; i < kCallsPerNode; ++i) {
+      EXPECT_EQ(served[n * kCallsPerNode + i], runner.node(n)->name());
+    }
+    EXPECT_EQ(runner.node(n)->gate()->handled(), kCallsPerNode);
+  }
+  EXPECT_GE(elapsed, kFloor);
+  EXPECT_LT(elapsed, kFloor * 3 / 2)
+      << "8 pinned calls took " << elapsed << "us: frames queued behind "
+      << "reactor workers instead of running in the node's slots";
 }
 
 // Differential check: a query routed over real TCP returns byte-identical

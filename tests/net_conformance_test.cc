@@ -1,12 +1,10 @@
-// Differential transport conformance: every battery runs against BOTH
-// engines of the TCP servers — blocking thread-per-connection and the
-// shared epoll reactor (net/reactor.h) — via TEST_P over net.reactor.
-// The asserted codes and payloads are constants, so passing under both
-// parameters proves the engines are client-indistinguishable: framing
+// Transport conformance for the TCP servers on their epoll reactor
+// (net/reactor.h). The asserted codes and payloads are constants: framing
 // round-trips, partial/coalesced writes, checksum corruption, hostile
 // lengths, handler timeouts, mid-call Stop, restart, and trace-id
-// propagation all behave identically. The HTTP tier is additionally
-// pinned byte-for-byte across engines in one unparameterized test.
+// propagation. The HTTP tier is pinned byte-for-byte against golden
+// transcripts, recorded when the thread-per-connection engine it replaced
+// still served the same requests identically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -70,19 +68,16 @@ class LatchRmi : public dm::RmiHandler {
   bool released_ = false;
 };
 
-dm::TcpRmiServer::Options EngineOptions(bool use_reactor) {
+dm::TcpRmiServer::Options TwoWorkers() {
   dm::TcpRmiServer::Options options;
-  options.use_reactor = use_reactor;
   options.reactor.workers = 2;
   return options;
 }
 
-class TransportConformanceTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(TransportConformanceTest, FramingRoundTripsAcrossSizes) {
+TEST(TransportConformanceTest, FramingRoundTripsAcrossSizes) {
   ReverseRmi rmi;
   MetricsRegistry metrics;
-  dm::TcpRmiServer server(&rmi, &metrics, EngineOptions(GetParam()));
+  dm::TcpRmiServer server(&rmi, &metrics, TwoWorkers());
   ASSERT_TRUE(server.Start().ok());
 
   dm::TcpChannel channel("127.0.0.1", server.port());
@@ -103,10 +98,10 @@ TEST_P(TransportConformanceTest, FramingRoundTripsAcrossSizes) {
   server.Stop();
 }
 
-TEST_P(TransportConformanceTest, PartialAndCoalescedWritesParseIdentically) {
+TEST(TransportConformanceTest, PartialAndCoalescedWritesParseIdentically) {
   ReverseRmi rmi;
   MetricsRegistry metrics;
-  dm::TcpRmiServer server(&rmi, &metrics, EngineOptions(GetParam()));
+  dm::TcpRmiServer server(&rmi, &metrics, TwoWorkers());
   ASSERT_TRUE(server.Start().ok());
 
   auto connected = net::TcpConnect("127.0.0.1", server.port());
@@ -138,10 +133,10 @@ TEST_P(TransportConformanceTest, PartialAndCoalescedWritesParseIdentically) {
   server.Stop();
 }
 
-TEST_P(TransportConformanceTest, CorruptChecksumDropsConnection) {
+TEST(TransportConformanceTest, CorruptChecksumDropsConnection) {
   ReverseRmi rmi;
   MetricsRegistry metrics;
-  dm::TcpRmiServer server(&rmi, &metrics, EngineOptions(GetParam()));
+  dm::TcpRmiServer server(&rmi, &metrics, TwoWorkers());
   ASSERT_TRUE(server.Start().ok());
 
   auto connected = net::TcpConnect("127.0.0.1", server.port());
@@ -161,17 +156,17 @@ TEST_P(TransportConformanceTest, CorruptChecksumDropsConnection) {
   server.Stop();
 }
 
-TEST_P(TransportConformanceTest, HostileLengthDropsConnection) {
+TEST(TransportConformanceTest, HostileLengthDropsConnection) {
   ReverseRmi rmi;
   MetricsRegistry metrics;
-  dm::TcpRmiServer server(&rmi, &metrics, EngineOptions(GetParam()));
+  dm::TcpRmiServer server(&rmi, &metrics, TwoWorkers());
   ASSERT_TRUE(server.Start().ok());
 
   auto connected = net::TcpConnect("127.0.0.1", server.port());
   ASSERT_TRUE(connected.ok());
   net::TcpSocket socket = std::move(connected).value();
-  // Header claiming a ~4GB payload; both engines must reject on the
-  // header alone and drop the connection.
+  // Header claiming a ~4GB payload: rejected on the header alone and the
+  // connection dropped.
   uint8_t header[4] = {0xF0, 0xFF, 0xFF, 0xFF};
   ASSERT_TRUE(socket.SendAll(header, sizeof(header)).ok());
 
@@ -183,10 +178,10 @@ TEST_P(TransportConformanceTest, HostileLengthDropsConnection) {
   server.Stop();
 }
 
-TEST_P(TransportConformanceTest, SlowHandlerHitsClientDeadlineAsTimeout) {
+TEST(TransportConformanceTest, SlowHandlerHitsClientDeadlineAsTimeout) {
   LatchRmi rmi;
   MetricsRegistry metrics;
-  dm::TcpRmiServer server(&rmi, &metrics, EngineOptions(GetParam()));
+  dm::TcpRmiServer server(&rmi, &metrics, TwoWorkers());
   ASSERT_TRUE(server.Start().ok());
 
   dm::TcpChannel channel("127.0.0.1", server.port(),
@@ -198,10 +193,10 @@ TEST_P(TransportConformanceTest, SlowHandlerHitsClientDeadlineAsTimeout) {
   server.Stop();
 }
 
-TEST_P(TransportConformanceTest, StopMidCallYieldsUnavailable) {
+TEST(TransportConformanceTest, StopMidCallYieldsUnavailable) {
   LatchRmi rmi;
   MetricsRegistry metrics;
-  dm::TcpRmiServer server(&rmi, &metrics, EngineOptions(GetParam()));
+  dm::TcpRmiServer server(&rmi, &metrics, TwoWorkers());
   ASSERT_TRUE(server.Start().ok());
 
   Status observed;
@@ -224,10 +219,10 @@ TEST_P(TransportConformanceTest, StopMidCallYieldsUnavailable) {
       << observed.ToString();
 }
 
-TEST_P(TransportConformanceTest, RestartServesOnFreshPort) {
+TEST(TransportConformanceTest, RestartServesOnFreshPort) {
   ReverseRmi rmi;
   MetricsRegistry metrics;
-  dm::TcpRmiServer server(&rmi, &metrics, EngineOptions(GetParam()));
+  dm::TcpRmiServer server(&rmi, &metrics, TwoWorkers());
   ASSERT_TRUE(server.Start().ok());
   int first_port = server.port();
   {
@@ -244,9 +239,9 @@ TEST_P(TransportConformanceTest, RestartServesOnFreshPort) {
   server.Stop();
 }
 
-TEST_P(TransportConformanceTest, TraceIdPropagatesThroughFullDmNode) {
-  // Full DM node behind the parameterized engine: the RMI call header's
-  // trace id must reach the server's trace log either way.
+TEST(TransportConformanceTest, TraceIdPropagatesThroughFullDmNode) {
+  // Full DM node behind the transport: the RMI call header's trace id
+  // must reach the server's trace log.
   db::Database db;
   ASSERT_TRUE(dm::CreateFullSchema(&db).ok());
   archive::ArchiveManager archives;
@@ -262,7 +257,7 @@ TEST_P(TransportConformanceTest, TraceIdPropagatesThroughFullDmNode) {
                                RealClock::Instance(), dm_options);
   MetricsRegistry metrics;
   dm::RmiServer rmi(&data_manager, &metrics);
-  dm::TcpRmiServer server(&rmi, &metrics, EngineOptions(GetParam()));
+  dm::TcpRmiServer server(&rmi, &metrics, TwoWorkers());
   ASSERT_TRUE(server.Start().ok());
 
   dm::TcpChannel channel("127.0.0.1", server.port());
@@ -281,19 +276,12 @@ TEST_P(TransportConformanceTest, TraceIdPropagatesThroughFullDmNode) {
   server.Stop();
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, TransportConformanceTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Reactor" : "Blocking";
-                         });
-
 // ---------------------------------------------------------------------------
 // HTTP tier
 // ---------------------------------------------------------------------------
 
-web::HttpTcpServer::Options HttpEngineOptions(bool use_reactor) {
+web::HttpTcpServer::Options HttpTwoWorkers() {
   web::HttpTcpServer::Options options;
-  options.use_reactor = use_reactor;
   options.reactor.workers = 2;
   return options;
 }
@@ -320,7 +308,7 @@ std::vector<uint8_t> MustRecv(net::TcpSocket& socket, size_t n) {
 }
 
 // Reads exactly one HTTP response (headers + Content-Length body) as raw
-// bytes, so the differential comparison sees the entire wire encoding.
+// bytes, so the transcript comparison sees the entire wire encoding.
 std::vector<uint8_t> ReadOneHttpResponse(net::TcpSocket& socket) {
   std::vector<uint8_t> bytes;
   while (true) {
@@ -344,7 +332,11 @@ std::vector<uint8_t> ReadOneHttpResponse(net::TcpSocket& socket) {
   return bytes;
 }
 
-std::vector<uint8_t> FetchRaw(int port, const std::string& request_text) {
+// Sends `request_text` on a fresh connection and returns the raw bytes of
+// the one response; with `expect_close`, also asserts the server then
+// hangs up.
+std::string FetchRaw(int port, const std::string& request_text,
+                     bool expect_close) {
   auto connected = net::TcpConnect("127.0.0.1", port);
   EXPECT_TRUE(connected.ok());
   net::TcpSocket socket = std::move(connected).value();
@@ -353,43 +345,86 @@ std::vector<uint8_t> FetchRaw(int port, const std::string& request_text) {
                                request_text.data()),
                            request_text.size())
                   .ok());
-  return ReadOneHttpResponse(socket);
-}
-
-TEST(HttpConformanceTest, ResponsesAreByteIdenticalAcrossEngines) {
-  MetricsRegistry blocking_metrics, reactor_metrics;
-  web::HttpTcpServer blocking(CannedHandler, &blocking_metrics,
-                              HttpEngineOptions(false));
-  web::HttpTcpServer reactor(CannedHandler, &reactor_metrics,
-                             HttpEngineOptions(true));
-  ASSERT_TRUE(blocking.Start().ok());
-  ASSERT_TRUE(reactor.Start().ok());
-
-  const std::string requests[] = {
-      "GET /hello?name=hedc HTTP/1.1\r\nHost: x\r\n\r\n",
-      "GET /hello HTTP/1.0\r\n\r\n",
-      "POST /echo HTTP/1.1\r\nContent-Length: 5\r\n\r\nabcde",
-      "GET /missing HTTP/1.1\r\nConnection: close\r\n\r\n",
-      "BROKEN\r\n\r\n",  // malformed: both engines answer 400 and close
-  };
-  for (const std::string& request : requests) {
-    std::vector<uint8_t> a = FetchRaw(blocking.port(), request);
-    std::vector<uint8_t> b = FetchRaw(reactor.port(), request);
-    EXPECT_EQ(a, b) << "engines diverged on request:\n"
-                    << request << "\nblocking:\n"
-                    << std::string(a.begin(), a.end()) << "\nreactor:\n"
-                    << std::string(b.begin(), b.end());
+  std::vector<uint8_t> bytes = ReadOneHttpResponse(socket);
+  if (expect_close) {
+    EXPECT_TRUE(socket.SetRecvTimeout(5 * kMicrosPerSecond).ok());
+    uint8_t byte;
+    EXPECT_EQ(socket.RecvAll(&byte, 1).code(), StatusCode::kUnavailable)
+        << "server kept the connection open";
   }
-  blocking.Stop();
-  reactor.Stop();
+  return std::string(bytes.begin(), bytes.end());
 }
 
-class HttpEngineTest : public ::testing::TestWithParam<bool> {};
+struct HttpTranscript {
+  const char* request;
+  const char* response;
+  bool closes;  // the server hangs up after the response
+};
 
-TEST_P(HttpEngineTest, KeepAliveCarriesManySequentialRequests) {
+TEST(HttpConformanceTest, ResponsesMatchGoldenTranscripts) {
+  // Captured from the server when its thread-per-connection and reactor
+  // engines both answered these requests with exactly these bytes.
+  const HttpTranscript kTranscripts[] = {
+      {"GET /hello?name=hedc HTTP/1.1\r\nHost: x\r\n\r\n",
+       "HTTP/1.1 200 OK\r\n"
+       "Content-Type: text/html\r\n"
+       "Content-Length: 11\r\n"
+       "Connection: keep-alive\r\n"
+       "Set-Cookie: visited=1\r\n"
+       "\r\n"
+       "hello hedc\n",
+       false},
+      {"GET /hello HTTP/1.0\r\n\r\n",
+       "HTTP/1.1 200 OK\r\n"
+       "Content-Type: text/html\r\n"
+       "Content-Length: 12\r\n"
+       "Connection: close\r\n"
+       "Set-Cookie: visited=1\r\n"
+       "\r\n"
+       "hello world\n",
+       true},
+      {"POST /echo HTTP/1.1\r\nContent-Length: 5\r\n\r\nabcde",
+       "HTTP/1.1 200 OK\r\n"
+       "Content-Type: text/plain\r\n"
+       "Content-Length: 10\r\n"
+       "Connection: keep-alive\r\n"
+       "\r\n"
+       "POST abcde",
+       false},
+      {"GET /missing HTTP/1.1\r\nConnection: close\r\n\r\n",
+       "HTTP/1.1 404 Not Found\r\n"
+       "Content-Type: text/html\r\n"
+       "Content-Length: 53\r\n"
+       "Connection: close\r\n"
+       "\r\n"
+       "<html><body><h1>404</h1><p>/missing</p></body></html>",
+       true},
+      // Malformed: a 400, then the connection is dropped.
+      {"BROKEN\r\n\r\n",
+       "HTTP/1.1 400 Bad Request\r\n"
+       "Content-Type: text/html\r\n"
+       "Content-Length: 62\r\n"
+       "Connection: close\r\n"
+       "\r\n"
+       "<html><body><h1>400</h1><p>malformed request</p></body></html>",
+       true},
+  };
+  MetricsRegistry metrics;
+  web::HttpTcpServer server(CannedHandler, &metrics, HttpTwoWorkers());
+  ASSERT_TRUE(server.Start().ok());
+  for (const HttpTranscript& transcript : kTranscripts) {
+    SCOPED_TRACE(transcript.request);
+    EXPECT_EQ(FetchRaw(server.port(), transcript.request, transcript.closes),
+              transcript.response);
+  }
+  EXPECT_EQ(metrics.GetCounter("web.http_bad_requests")->Value(), 1);
+  server.Stop();
+}
+
+TEST(HttpEngineTest, KeepAliveCarriesManySequentialRequests) {
   MetricsRegistry metrics;
   web::HttpTcpServer server(CannedHandler, &metrics,
-                            HttpEngineOptions(GetParam()));
+                            HttpTwoWorkers());
   ASSERT_TRUE(server.Start().ok());
 
   auto connected = net::TcpConnect("127.0.0.1", server.port());
@@ -414,10 +449,10 @@ TEST_P(HttpEngineTest, KeepAliveCarriesManySequentialRequests) {
   server.Stop();
 }
 
-TEST_P(HttpEngineTest, ConnectionCloseIsHonored) {
+TEST(HttpEngineTest, ConnectionCloseIsHonored) {
   MetricsRegistry metrics;
   web::HttpTcpServer server(CannedHandler, &metrics,
-                            HttpEngineOptions(GetParam()));
+                            HttpTwoWorkers());
   ASSERT_TRUE(server.Start().ok());
 
   auto connected = net::TcpConnect("127.0.0.1", server.port());
@@ -437,12 +472,6 @@ TEST_P(HttpEngineTest, ConnectionCloseIsHonored) {
   EXPECT_EQ(socket.RecvAll(&byte, 1).code(), StatusCode::kUnavailable);
   server.Stop();
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, HttpEngineTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Reactor" : "Blocking";
-                         });
 
 }  // namespace
 }  // namespace hedc

@@ -142,45 +142,39 @@ std::string ReadHttpResponse(net::TcpSocket& socket) {
 }
 
 // The real web tier served over a socket: HttpTcpServer adapts
-// WebServer::Dispatch onto either transport engine (DESIGN.md §4i), so
-// the same raw-HTTP login + catalog flow must work blocking and reactor.
-TEST_F(WebStackTest, FullStackServesOverBothTcpEngines) {
+// WebServer::Dispatch onto the reactor transport (DESIGN.md §4i), so the
+// raw-HTTP login + catalog flow must work end to end.
+TEST_F(WebStackTest, FullStackServesOverTcp) {
   std::string cookie = LoginCookie("alice", "pw-a");
   ASSERT_FALSE(cookie.empty());
-  for (bool use_reactor : {false, true}) {
-    SCOPED_TRACE(use_reactor ? "reactor" : "blocking");
-    web::HttpTcpServer::Options options;
-    options.use_reactor = use_reactor;
-    web::HttpTcpServer http(
-        [&](const HttpRequest& request) {
-          return stack_.web_server->Dispatch(request);
-        },
-        nullptr, options);
-    ASSERT_TRUE(http.Start().ok());
+  web::HttpTcpServer http(
+      [&](const HttpRequest& request) {
+        return stack_.web_server->Dispatch(request);
+      },
+      nullptr);
+  ASSERT_TRUE(http.Start().ok());
 
-    auto connected = net::TcpConnect("127.0.0.1", http.port());
-    ASSERT_TRUE(connected.ok());
-    net::TcpSocket socket = std::move(connected).value();
-    // Two requests on one keep-alive connection.
-    for (int i = 0; i < 2; ++i) {
-      std::string request =
-          "GET /catalog?name=standard HTTP/1.1\r\nHost: hedc\r\n"
-          "Cookie: hedc_session=" + cookie + "\r\n\r\n";
-      ASSERT_TRUE(socket
-                      .SendAll(reinterpret_cast<const uint8_t*>(
-                                   request.data()),
-                               request.size())
-                      .ok());
-      std::string response = ReadHttpResponse(socket);
-      EXPECT_EQ(response.rfind("HTTP/1.1 200", 0), 0u) << response;
-      for (int64_t hle_id : stack_.hle_ids) {
-        EXPECT_NE(
-            response.find("/hle?id=" + std::to_string(hle_id)),
-            std::string::npos);
-      }
+  auto connected = net::TcpConnect("127.0.0.1", http.port());
+  ASSERT_TRUE(connected.ok());
+  net::TcpSocket socket = std::move(connected).value();
+  // Two requests on one keep-alive connection.
+  for (int i = 0; i < 2; ++i) {
+    std::string request =
+        "GET /catalog?name=standard HTTP/1.1\r\nHost: hedc\r\n"
+        "Cookie: hedc_session=" + cookie + "\r\n\r\n";
+    ASSERT_TRUE(socket
+                    .SendAll(reinterpret_cast<const uint8_t*>(
+                                 request.data()),
+                             request.size())
+                    .ok());
+    std::string response = ReadHttpResponse(socket);
+    EXPECT_EQ(response.rfind("HTTP/1.1 200", 0), 0u) << response;
+    for (int64_t hle_id : stack_.hle_ids) {
+      EXPECT_NE(response.find("/hle?id=" + std::to_string(hle_id)),
+                std::string::npos);
     }
-    http.Stop();
   }
+  http.Stop();
 }
 
 // --- progressive view delivery (/view) and approximate aggregates
@@ -346,39 +340,35 @@ TEST_F(WebStackTest, ViewMissDuringInvalidationSeesRecalibratedView) {
   EXPECT_EQ(after.binary_body, view->data);
 }
 
-TEST_F(WebStackTest, ViewServedIdenticallyOverBothTcpEngines) {
-  std::vector<std::string> bodies;
-  for (bool use_reactor : {false, true}) {
-    SCOPED_TRACE(use_reactor ? "reactor" : "blocking");
-    web::HttpTcpServer::Options options;
-    options.use_reactor = use_reactor;
-    web::HttpTcpServer http(
-        [&](const HttpRequest& request) {
-          return stack_.web_server->Dispatch(request);
-        },
-        nullptr, options);
-    ASSERT_TRUE(http.Start().ok());
-    auto connected = net::TcpConnect("127.0.0.1", http.port());
-    ASSERT_TRUE(connected.ok());
-    net::TcpSocket socket = std::move(connected).value();
-    std::string request =
-        "GET /view?unit=1&resolution=1 HTTP/1.1\r\nHost: hedc\r\n\r\n";
-    ASSERT_TRUE(socket
-                    .SendAll(reinterpret_cast<const uint8_t*>(
-                                 request.data()),
-                             request.size())
-                    .ok());
-    std::string response = ReadHttpResponse(socket);
-    ASSERT_EQ(response.rfind("HTTP/1.1 200", 0), 0u) << response;
-    bodies.push_back(response.substr(response.find("\r\n\r\n") + 4));
-    http.Stop();
-  }
-  ASSERT_EQ(bodies.size(), 2u);
-  // Byte-identical across engines: the prefix is sliced from the same
-  // cached stream regardless of transport.
-  EXPECT_EQ(bodies[0], bodies[1]);
-  std::vector<uint8_t> raw(bodies[0].begin(), bodies[0].end());
-  EXPECT_TRUE(wavelet::DecodeSignalPrefix(raw).ok());
+TEST_F(WebStackTest, ViewServedOverTcpMatchesInProcessDispatch) {
+  const std::string target = "/view?unit=1&resolution=1";
+  web::HttpTcpServer http(
+      [&](const HttpRequest& request) {
+        return stack_.web_server->Dispatch(request);
+      },
+      nullptr);
+  ASSERT_TRUE(http.Start().ok());
+  auto connected = net::TcpConnect("127.0.0.1", http.port());
+  ASSERT_TRUE(connected.ok());
+  net::TcpSocket socket = std::move(connected).value();
+  std::string request = "GET " + target + " HTTP/1.1\r\nHost: hedc\r\n\r\n";
+  ASSERT_TRUE(socket
+                  .SendAll(reinterpret_cast<const uint8_t*>(request.data()),
+                           request.size())
+                  .ok());
+  std::string response = ReadHttpResponse(socket);
+  ASSERT_EQ(response.rfind("HTTP/1.1 200", 0), 0u) << response;
+  http.Stop();
+  std::vector<uint8_t> body(
+      response.begin() + static_cast<long>(response.find("\r\n\r\n") + 4),
+      response.end());
+
+  // The socket carries exactly the bytes the servlet produces in process:
+  // the prefix is sliced from the same cached stream either way.
+  HttpResponse direct = stack_.web_server->Dispatch(MakeRequest(target));
+  ASSERT_EQ(direct.status_code, 200);
+  EXPECT_EQ(body, direct.binary_body);
+  EXPECT_TRUE(wavelet::DecodeSignalPrefix(body).ok());
 }
 
 TEST_F(WebStackTest, ApproxAggregatesStayWithinReportedBound) {
