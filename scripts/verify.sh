@@ -6,7 +6,10 @@
 # concurrency hammers, networked chaos/failover, the cluster kill/restart
 # stress and the reactor net-stress lane (`ctest -L net-stress` runs just
 # that lane; the stress label regex picks it up here) — under
-# ThreadSanitizer. Run from the repo root:
+# ThreadSanitizer, and the decoder tests under AddressSanitizer +
+# UndefinedBehaviorSanitizer (hostile bytes and NaN ranges reach the
+# wavelet, archive, RMI-frame and /approx decoders). Run from the repo
+# root:
 #   scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,6 +34,17 @@ python3 bench/validate_bench_json.py BENCH_c10k.json
 echo "=== progressive-delivery crosscheck (first-paint >= 5x, approx error <= bound) ==="
 python3 bench/validate_bench_json.py BENCH_wavelet_progressive.json \
     BENCH_wavelet_approx.json
+
+echo "=== build decoder tests (HEDC_SANITIZE=address: ASan + UBSan) ==="
+asan_tests=(wavelet_test wavelet_codec_fuzz_test analysis_test archive_test
+            dm_remote_codec_fuzz_test web_test)
+cmake -B build-asan -S . -DHEDC_SANITIZE=address >/dev/null
+cmake --build build-asan -j --target "${asan_tests[@]}"
+
+echo "=== decoder tests under ASan + UBSan (any finding aborts) ==="
+for t in "${asan_tests[@]}"; do
+  build-asan/tests/"$t" --gtest_brief=1
+done
 
 echo "=== build (HEDC_SANITIZE=thread) ==="
 cmake -B build-tsan -S . -DHEDC_SANITIZE=thread >/dev/null

@@ -10,6 +10,9 @@ namespace hedc::analysis {
 Result<ApproxAnswer> ApproxSumFromPrefix(const uint8_t* data, size_t size,
                                          double range_lo_frac,
                                          double range_hi_frac) {
+  if (!std::isfinite(range_lo_frac) || !std::isfinite(range_hi_frac)) {
+    return Status::InvalidArgument("approximate range must be finite");
+  }
   if (range_hi_frac < range_lo_frac) {
     return Status::InvalidArgument("inverted approximate range");
   }

@@ -31,8 +31,10 @@ struct ApproxAnswer {
 
 // Sum of the binned signal over the half-open domain fraction
 // [range_lo_frac, range_hi_frac) of [0, 1), reconstructed from the first
-// `size` bytes of a progressive (HWV3) wavelet stream. Fractions are
-// clamped to [0, 1]; an inverted pair is InvalidArgument.
+// `size` bytes of a progressive (HWV3) wavelet stream. This is the one
+// place that turns a view prefix into a range sum with a bound. Fractions
+// are clamped to [0, 1]; a non-finite or inverted pair is
+// InvalidArgument.
 Result<ApproxAnswer> ApproxSumFromPrefix(const uint8_t* data, size_t size,
                                          double range_lo_frac,
                                          double range_hi_frac);

@@ -30,7 +30,6 @@ StreamCorder::StreamCorder(dm::DataManager* server,
   dm::DataManager::Options dm_options;
   dm_options.pool.connection_setup_cost = 0;
   dm_options.sessions.session_setup_cost = 0;
-  dm_options.async_workers = 1;
   local_dm_ = std::make_unique<dm::DataManager>(
       "streamcorder-local", local_db_.get(), local_archives_.get(),
       local_mapper_.get(), server->clock(), dm_options);
@@ -53,7 +52,6 @@ StreamCorder::StreamCorder(dm::DataManager* server,
   // derived-product cache over its local DM, so repeated local analyses
   // are served from storage and survive a client restart.
   pl::ProductCache::Options pc_options;
-  pc_options.enabled = options_.product_cache_enabled;
   pc_options.capacity_bytes = options_.product_cache_capacity_bytes;
   pc_options.metric_prefix = "client.product_cache";
   product_cache_ =

@@ -44,7 +44,6 @@ class StreamCorder {
     // Local derived-product cache over the local DM clone: repeated
     // AnalyzeLocally calls for the same (routine, params, unit@version)
     // reuse the stored product instead of recomputing.
-    bool product_cache_enabled = true;
     uint64_t product_cache_capacity_bytes = 64 * 1024 * 1024;
   };
 

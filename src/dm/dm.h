@@ -1,23 +1,22 @@
 // DataManager: the DM component facade (§5.2, §5.4).
 //
 // Wires the I/O layer, semantic layer, sessions, users and connection
-// pools into one component, and implements call redirection: a DM node
-// keeps a list of peers and can route work to them ("In general, the
-// calling methods do not know where the code is actually executed, but
-// can use overwrites to, e.g., force local execution.").
+// pools into one component. Call redirection across DM nodes ("the
+// calling methods do not know where the code is actually executed") is
+// not a DataManager concern: in process, cluster::ClusterRunner picks
+// the node through WebServer::set_node_router; over TCP, RoutedDmPool
+// routes sessions to remote nodes.
 #ifndef HEDC_DM_DM_H_
 #define HEDC_DM_DM_H_
 
 #include <atomic>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "archive/archive.h"
 #include "archive/name_mapper.h"
 #include "core/clock.h"
 #include "core/metrics.h"
-#include "core/thread_pool.h"
 #include "db/connection.h"
 #include "db/database.h"
 #include "dm/io_layer.h"
@@ -32,8 +31,6 @@ class DataManager {
   struct Options {
     db::ConnectionPool::Options pool;
     SessionManager::Options sessions;
-    size_t async_workers = 2;
-    bool redirect_enabled = true;
   };
 
   // All borrowed pointers must outlive the DataManager. `db` is the
@@ -41,7 +38,6 @@ class DataManager {
   DataManager(std::string name, db::Database* db,
               archive::ArchiveManager* archives,
               archive::NameMapper* mapper, Clock* clock, Options options);
-  ~DataManager();
 
   DataManager(const DataManager&) = delete;
   DataManager& operator=(const DataManager&) = delete;
@@ -55,21 +51,6 @@ class DataManager {
   UserManager& users() { return *users_; }
   db::ConnectionPool& pool() { return *pool_; }
   db::Database* database() { return db_; }
-
-  // --- call redirection (§5.4) ----------------------------------------
-  void AddPeer(DataManager* peer);
-  size_t num_peers() const { return peers_.size(); }
-  // Picks the execution node for the next call: round-robin over self and
-  // peers when redirection is enabled, else self. `force_local` is the
-  // per-call overwrite.
-  DataManager* Route(bool force_local = false);
-
-  // --- asynchronous execution -------------------------------------------
-  // "a DM might decide to place a request in an execution queue, send the
-  // request to a pool of worker threads for asynchronous execution or
-  // execute the call directly."
-  bool SubmitAsync(std::function<void()> work);
-  void DrainAsync();
 
   // Operational logging into the op_logs table.
   Status LogOperational(const std::string& component,
@@ -98,10 +79,6 @@ class DataManager {
   std::unique_ptr<SemanticLayer> semantics_;
   std::unique_ptr<SessionManager> sessions_;
   std::unique_ptr<UserManager> users_;
-  std::unique_ptr<ThreadPool> async_pool_;
-
-  std::vector<DataManager*> peers_;
-  std::atomic<size_t> route_counter_{0};
   std::atomic<int64_t> requests_handled_{0};
   IdGenerator log_ids_{1};
   IdGenerator snap_ids_{1};

@@ -1,18 +1,18 @@
-// Epoll reactor for the web and RMI transports (C10K; ROADMAP 3).
+// Epoll reactor for the web and RMI transports (C10K).
 //
-// Both socket servers were thread-per-connection, which caps concurrent
-// clients at thread scale — nowhere near the paper's growing-user-base
-// story (§6.1) once keep-alive browsers and cluster channel fan-out are
-// real. Reactor is one event loop that owns every connection: sockets are
-// nonblocking and edge-triggered, reads accumulate into a per-connection
-// buffer that a pluggable ReactorProtocol parses incrementally (the
-// [u32 len][payload][u32 crc32] RMI framing and HTTP/1.1 each provide
-// one), and completed requests execute on a small worker pool so a slow
-// handler never stalls the loop. Responses are queued back onto the loop
-// thread, written with backpressure (reading pauses above a write-buffer
-// watermark), and idle / incomplete-request / stalled-write connections
-// are reaped by deadline sweeps. The thread count is O(workers), not
-// O(connections); one Reactor instance can carry several listeners.
+// The paper's growing user base (§6.1) means keep-alive browsers and
+// cluster channel fan-out, so the servers cannot cost a thread per
+// connection. Reactor is one event loop that owns every connection:
+// sockets are nonblocking and edge-triggered, reads accumulate into a
+// per-connection buffer that a pluggable ReactorProtocol parses
+// incrementally (the [u32 len][payload][u32 crc32] RMI framing and
+// HTTP/1.1 each provide one), and completed requests execute on a small
+// worker pool so a slow handler never stalls the loop. Responses are
+// queued back onto the loop thread, written with backpressure (reading
+// pauses above a write-buffer watermark), and idle / incomplete-request
+// / stalled-write connections are reaped by deadline sweeps. The thread
+// count is O(workers), not O(connections); one Reactor instance can
+// carry several listeners.
 //
 // Threading contract: ReactorProtocol callbacks run on the loop thread;
 // dispatched work runs on the worker pool; Reactor's public methods are

@@ -151,7 +151,7 @@ Result<int64_t> Frontend::Submit(ProcessingRequest request) {
   slot->request = std::move(request);
   slot->outcome.state = RequestState::kQueued;
   slot->outcome.submitted_at = clock_->Now();
-  if (product_cache_ != nullptr && product_cache_->enabled()) {
+  if (product_cache_ != nullptr) {
     slot->cache_key = MakeProductCacheKey(
         slot->request.routine, slot->request.params,
         slot->request.input_units);

@@ -169,7 +169,6 @@ Result<analysis::AnalysisProduct> DecodeProduct(
 ProductCache::Options ProductCache::Options::FromConfig(
     const Config& config) {
   Options options;
-  options.enabled = config.GetBool("product_cache.enabled", true);
   options.capacity_bytes = static_cast<uint64_t>(config.GetInt(
       "product_cache.capacity_bytes",
       static_cast<int64_t>(options.capacity_bytes)));
@@ -253,7 +252,7 @@ Status ProductCache::LoadFromDm() {
 }
 
 bool ProductCache::Peek(const ProductCacheKey& key) const {
-  if (!options_.enabled || !key.valid) return false;
+  if (!key.valid) return false;
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.count(key.hash) > 0 || flights_.count(key.hash) > 0;
 }
@@ -277,7 +276,7 @@ Result<std::vector<uint8_t>> ProductCache::LoadBlob(int64_t item_id) {
 ProductCache::Ticket ProductCache::Admit(const ProductCacheKey& key) {
   Ticket ticket;
   ticket.key = key;
-  if (!options_.enabled || !key.valid) return ticket;  // kDisabled
+  if (!key.valid) return ticket;  // kDisabled
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     auto it = entries_.find(key.hash);

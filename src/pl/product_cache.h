@@ -87,8 +87,8 @@ Result<analysis::AnalysisProduct> DecodeProduct(
 
 class ProductCache {
  public:
+  // "No cache" has one spelling: callers hold a null ProductCache*.
   struct Options {
-    bool enabled = true;
     uint64_t capacity_bytes = 64ull << 20;
     // Archive holding the encoded blobs (persisted entries only).
     int64_t blob_archive_id = 1;
@@ -97,7 +97,7 @@ class ProductCache {
     bool persist = true;
     std::string metric_prefix = "product_cache";
 
-    // Reads product_cache.enabled / product_cache.capacity_bytes.
+    // Reads product_cache.capacity_bytes.
     static Options FromConfig(const Config& config);
   };
 
@@ -110,7 +110,7 @@ class ProductCache {
   };
 
   enum class Role {
-    kDisabled,  // cache off or key invalid: run the pre-cache path
+    kDisabled,  // key invalid (no lineage): run the uncached path
     kHit,       // entry served; `hit` is filled
     kLeader,    // run the execution, then CompleteSuccess/CompleteFailure
     kFollower,  // Await() the leader's flight
@@ -171,7 +171,6 @@ class ProductCache {
   // flight (0 when idle).
   size_t WaitersFor(const ProductCacheKey& key) const;
 
-  bool enabled() const { return options_.enabled; }
   uint64_t bytes_cached() const;
   size_t entry_count() const;
   const Options& options() const { return options_; }

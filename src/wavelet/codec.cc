@@ -10,7 +10,6 @@
 namespace hedc::wavelet {
 
 namespace {
-constexpr uint32_t kCodecMagic = 0x48575631;        // "HWV1"
 constexpr uint32_t kCodec2dMagic = 0x48575632;      // "HWV2"
 constexpr uint32_t kProgressiveMagic = 0x48575633;  // "HWV3"
 
@@ -18,8 +17,20 @@ constexpr uint32_t kProgressiveMagic = 0x48575633;  // "HWV3"
 // controlled: cap the coefficient-array allocation before trusting a
 // decoded varint (4M doubles = 32 MB, far above any real view).
 constexpr uint64_t kMaxPaddedLen = 1ull << 22;
+// The same cap for a 2-D stream's padded pixel count (64M doubles).
+constexpr uint64_t kMaxPaddedPixels = 64ull << 20;
 
 bool IsPow2(uint64_t n) { return n != 0 && (n & (n - 1)) == 0; }
+
+// Coefficients a `fraction` decode reads out of `num`: everything for
+// fraction >= 1 (or NaN), none for fraction <= 0, else at least one.
+size_t CoefficientBudget(double fraction, size_t num) {
+  if (!(fraction < 1.0)) return num;
+  if (!(fraction > 0)) return 0;
+  size_t take =
+      static_cast<size_t>(std::ceil(fraction * static_cast<double>(num)));
+  return std::max<size_t>(take, 1);
+}
 
 // Resolution level of a coefficient index in the fully-decomposed Haar
 // layout: index 0 is the scaling (DC) coefficient (level 0); detail
@@ -38,8 +49,7 @@ struct Entry {
   double value;
 };
 
-// Haar transform + threshold/quantization survivors, shared by both
-// encoders (they differ only in coefficient order and header).
+// Haar transform + threshold/quantization survivors, in index order.
 std::vector<Entry> RetainedCoefficients(const std::vector<double>& signal,
                                         const CodecOptions& options,
                                         size_t* original_len,
@@ -67,31 +77,6 @@ std::vector<Entry> RetainedCoefficients(const std::vector<double>& signal,
 }
 
 }  // namespace
-
-std::vector<uint8_t> EncodeSignal(const std::vector<double>& signal,
-                                  const CodecOptions& options) {
-  size_t original_len = 0, padded_len = 0;
-  double dropped_energy = 0;
-  std::vector<Entry> entries = RetainedCoefficients(
-      signal, options, &original_len, &padded_len, &dropped_energy);
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) {
-              return std::fabs(a.value) > std::fabs(b.value);
-            });
-
-  ByteBuffer out;
-  out.PutU32(kCodecMagic);
-  out.PutVarint(original_len);
-  out.PutVarint(padded_len);
-  out.PutF64(options.quant_step);
-  out.PutVarint(entries.size());
-  for (const Entry& e : entries) {
-    out.PutVarint(e.index);
-    out.PutSignedVarint(
-        static_cast<int64_t>(std::llround(e.value / options.quant_step)));
-  }
-  return std::move(out).TakeData();
-}
 
 std::vector<uint8_t> EncodeSignalProgressive(const std::vector<double>& signal,
                                              const CodecOptions& options) {
@@ -156,40 +141,6 @@ std::vector<uint8_t> EncodeSignalProgressive(const std::vector<double>& signal,
 }
 
 namespace {
-
-struct StreamHeader {
-  size_t original_len;
-  size_t padded_len;
-  double quant_step;
-  size_t num_coeffs;
-};
-
-Status ReadHeader(ByteReader* reader, StreamHeader* header) {
-  uint32_t magic = 0;
-  HEDC_RETURN_IF_ERROR(reader->GetU32(&magic));
-  if (magic != kCodecMagic) {
-    return Status::Corruption("not a wavelet stream (bad magic)");
-  }
-  uint64_t original_len = 0, padded_len = 0, num_coeffs = 0;
-  HEDC_RETURN_IF_ERROR(reader->GetVarint(&original_len));
-  HEDC_RETURN_IF_ERROR(reader->GetVarint(&padded_len));
-  HEDC_RETURN_IF_ERROR(reader->GetF64(&header->quant_step));
-  HEDC_RETURN_IF_ERROR(reader->GetVarint(&num_coeffs));
-  header->original_len = original_len;
-  header->padded_len = padded_len;
-  header->num_coeffs = num_coeffs;
-  if (padded_len == 0 || padded_len > kMaxPaddedLen || !IsPow2(padded_len) ||
-      padded_len < original_len || !std::isfinite(header->quant_step) ||
-      header->quant_step <= 0) {
-    return Status::Corruption("wavelet stream header invalid");
-  }
-  // Each record is at least two bytes; a count that cannot fit in the
-  // remaining stream is hostile, not merely truncated.
-  if (num_coeffs > padded_len || num_coeffs * 2 > reader->remaining()) {
-    return Status::Corruption("wavelet coefficient count exceeds stream");
-  }
-  return Status::Ok();
-}
 
 // HWV3 header plus the derived payload geometry.
 struct ProgressiveHeader {
@@ -336,66 +287,18 @@ Result<std::vector<double>> DecodeProgressive(const uint8_t* data,
 
 Result<std::vector<double>> DecodeSignal(const std::vector<uint8_t>& stream,
                                          double fraction) {
-  if (stream.size() >= 4) {
-    uint32_t magic = static_cast<uint32_t>(stream[0]) |
-                     static_cast<uint32_t>(stream[1]) << 8 |
-                     static_cast<uint32_t>(stream[2]) << 16 |
-                     static_cast<uint32_t>(stream[3]) << 24;
-    if (magic == kProgressiveMagic) {
-      ByteReader peek(stream);
-      ProgressiveHeader header;
-      HEDC_RETURN_IF_ERROR(ReadProgressiveHeader(&peek, &header));
-      size_t take = header.num_coeffs;
-      if (fraction < 1.0) {
-        take = static_cast<size_t>(
-            std::ceil(fraction * static_cast<double>(header.num_coeffs)));
-        if (fraction > 0 && take == 0) take = 1;
-      }
-      return DecodeProgressive(stream.data(), stream.size(), take, nullptr);
-    }
-  }
-
-  ByteReader reader(stream);
-  StreamHeader header;
-  HEDC_RETURN_IF_ERROR(ReadHeader(&reader, &header));
-
-  size_t take = header.num_coeffs;
-  if (fraction < 1.0) {
-    take = static_cast<size_t>(
-        std::ceil(fraction * static_cast<double>(header.num_coeffs)));
-    if (fraction > 0 && take == 0) take = 1;
-  }
-
-  std::vector<double> coeffs(header.padded_len, 0.0);
-  for (size_t i = 0; i < header.num_coeffs && i < take; ++i) {
-    uint64_t index = 0;
-    int64_t quantized = 0;
-    HEDC_RETURN_IF_ERROR(reader.GetVarint(&index));
-    HEDC_RETURN_IF_ERROR(reader.GetSignedVarint(&quantized));
-    if (index >= header.padded_len) {
-      return Status::Corruption("wavelet coefficient index out of range");
-    }
-    coeffs[index] = static_cast<double>(quantized) * header.quant_step;
-  }
-
-  HaarInverse(&coeffs);
-  coeffs.resize(header.original_len);
-  return coeffs;
+  ByteReader peek(stream);
+  ProgressiveHeader header;
+  HEDC_RETURN_IF_ERROR(ReadProgressiveHeader(&peek, &header));
+  return DecodeProgressive(stream.data(), stream.size(),
+                           CoefficientBudget(fraction, header.num_coeffs),
+                           nullptr);
 }
 
 Result<std::vector<double>> DecodeSignalPrefix(const uint8_t* data,
                                                size_t size,
                                                PrefixInfo* info) {
   return DecodeProgressive(data, size, static_cast<size_t>(-1), info);
-}
-
-bool IsProgressiveStream(const std::vector<uint8_t>& stream) {
-  if (stream.size() < 4) return false;
-  uint32_t magic = static_cast<uint32_t>(stream[0]) |
-                   static_cast<uint32_t>(stream[1]) << 8 |
-                   static_cast<uint32_t>(stream[2]) << 16 |
-                   static_cast<uint32_t>(stream[3]) << 24;
-  return magic == kProgressiveMagic;
 }
 
 Result<size_t> ResolutionLevels(const std::vector<uint8_t>& stream) {
@@ -424,15 +327,9 @@ Result<std::vector<uint8_t>> SlicePrefixForLevel(
 }
 
 Result<size_t> CoefficientCount(const std::vector<uint8_t>& stream) {
-  if (IsProgressiveStream(stream)) {
-    ByteReader reader(stream);
-    ProgressiveHeader header;
-    HEDC_RETURN_IF_ERROR(ReadProgressiveHeader(&reader, &header));
-    return header.num_coeffs;
-  }
   ByteReader reader(stream);
-  StreamHeader header;
-  HEDC_RETURN_IF_ERROR(ReadHeader(&reader, &header));
+  ProgressiveHeader header;
+  HEDC_RETURN_IF_ERROR(ReadProgressiveHeader(&reader, &header));
   return header.num_coeffs;
 }
 
@@ -508,21 +405,19 @@ Result<std::vector<double>> DecodeImage2d(const std::vector<uint8_t>& stream,
   HEDC_RETURN_IF_ERROR(reader.GetVarint(&ph));
   HEDC_RETURN_IF_ERROR(reader.GetF64(&quant_step));
   HEDC_RETURN_IF_ERROR(reader.GetVarint(&num));
-  if (pw == 0 || ph == 0 || pw < w || ph < h || quant_step <= 0 ||
-      !std::isfinite(quant_step) || pw * ph > (64u << 20)) {
+  // Bound each padded side before multiplying them: a hostile pair such
+  // as 2^62 x 4 would otherwise wrap the product past the pixel cap.
+  if (!IsPow2(pw) || !IsPow2(ph) || pw > kMaxPaddedPixels ||
+      ph > kMaxPaddedPixels || pw * ph > kMaxPaddedPixels || pw < w ||
+      ph < h || quant_step <= 0 || !std::isfinite(quant_step)) {
     return Status::Corruption("2-D wavelet stream header invalid");
   }
   if (num > pw * ph || num * 2 > reader.remaining()) {
     return Status::Corruption("2-D coefficient count exceeds stream");
   }
-  size_t take = num;
-  if (fraction < 1.0) {
-    take = static_cast<size_t>(
-        std::ceil(fraction * static_cast<double>(num)));
-    if (fraction > 0 && take == 0) take = 1;
-  }
+  size_t take = CoefficientBudget(fraction, num);
   std::vector<double> coeffs(pw * ph, 0.0);
-  for (size_t i = 0; i < num && i < take; ++i) {
+  for (size_t i = 0; i < take; ++i) {
     uint64_t index = 0;
     int64_t quantized = 0;
     HEDC_RETURN_IF_ERROR(reader.GetVarint(&index));

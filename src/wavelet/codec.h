@@ -1,23 +1,20 @@
 // Progressive wavelet codec.
 //
-// Two stream formats share the Haar transform and varint coefficient
-// records:
-//  - HWV1 (EncodeSignal): coefficients in decreasing-magnitude order, so
-//    any *coefficient-count* prefix reconstructs the best approximation
-//    for that budget ("the client works on approximated and aggregated
-//    versions of the original data", §6.3).
-//  - HWV3 (EncodeSignalProgressive): coefficients ordered by resolution
-//    level, then by decreasing magnitude within each level, with a
-//    per-level byte-offset table in the header. Any *byte* prefix of the
-//    stream is decodable on its own, so one stored stream serves every
-//    resolution: a server slices the first K bytes and the client
-//    reconstructs the best K-byte approximation plus a deterministic
-//    error bound from the energy accounting carried in the header.
+// One 1-D stream format, HWV3 (EncodeSignalProgressive): Haar transform,
+// threshold, quantize, then varint coefficient records ordered by
+// resolution level and by decreasing magnitude within each level, with a
+// per-level byte-offset table in the header. Any *byte* prefix of the
+// stream is decodable on its own, so one stored stream serves every
+// resolution: a server slices the first K bytes and the client
+// reconstructs the best K-byte approximation plus a deterministic error
+// bound from the energy accounting carried in the header ("the client
+// works on approximated and aggregated versions of the original data",
+// §6.3). Decoding the full stream is lossless up to quantization: the
+// samples are exactly HaarInverse of the retained, quantized
+// coefficients.
 //
-// Decoding with fraction = 1.0 (or the full HWV3 stream) is lossless up
-// to quantization, and the reconstructed samples are bit-identical
-// between the two formats for the same signal and options: the fill
-// order of the coefficient array does not change its contents.
+// HWV2 (EncodeImage2d) is the 2-D format of the StreamCorder's image
+// previews.
 #ifndef HEDC_WAVELET_CODEC_H_
 #define HEDC_WAVELET_CODEC_H_
 
@@ -37,20 +34,13 @@ struct CodecOptions {
   double threshold = 0.0;
 };
 
-// Encodes `signal` (any length; padded internally): Haar transform,
-// threshold, quantize, magnitude-order.
-std::vector<uint8_t> EncodeSignal(const std::vector<double>& signal,
-                                  const CodecOptions& options = {});
-
-// Decodes using roughly the first `fraction` (0..1] of the coefficient
-// stream. fraction >= 1 uses everything. Accepts both HWV1 and HWV3
-// streams (for HWV3 the fraction selects a coefficient-count prefix in
-// stored, i.e. level-major, order).
+// Decodes an HWV3 stream using roughly the first `fraction` (0..1] of
+// its coefficients, counted in stored (level-major) order. fraction >= 1
+// uses everything; fraction <= 0 uses none.
 Result<std::vector<double>> DecodeSignal(const std::vector<uint8_t>& stream,
                                          double fraction = 1.0);
 
-// Number of coefficients retained in the stream (post-threshold).
-// Accepts both formats.
+// Number of coefficients retained in an HWV3 stream (post-threshold).
 Result<size_t> CoefficientCount(const std::vector<uint8_t>& stream);
 
 // Relative L2 error between two signals (||a-b|| / ||a||; 0 when a == 0).
@@ -95,13 +85,11 @@ struct PrefixInfo {
   }
 };
 
-// Encodes `signal` as a prefix-decodable HWV3 stream (level-major
-// coefficient order, per-level byte offsets, energy accounting).
+// Encodes `signal` (any length; padded internally) as a
+// prefix-decodable HWV3 stream (level-major coefficient order, per-level
+// byte offsets, energy accounting).
 std::vector<uint8_t> EncodeSignalProgressive(
     const std::vector<double>& signal, const CodecOptions& options = {});
-
-// True if `stream` starts with the HWV3 magic.
-bool IsProgressiveStream(const std::vector<uint8_t>& stream);
 
 // Number of resolution levels in an HWV3 stream: level 0 is the single
 // scaling (DC) coefficient, level l adds detail indices [2^(l-1), 2^l).
@@ -134,14 +122,15 @@ inline Result<std::vector<double>> DecodeSignalPrefix(
 // --- 2-D progressive codec (image previews in the StreamCorder) --------
 
 // Encodes a row-major `width` x `height` image (any dimensions; padded to
-// powers of two internally) with the 2-D Haar transform and the same
-// magnitude-ordered coefficient stream as EncodeSignal.
+// powers of two internally) with the 2-D Haar transform as an HWV2
+// stream: varint coefficient records in decreasing-magnitude order.
 std::vector<uint8_t> EncodeImage2d(const std::vector<double>& pixels,
                                    size_t width, size_t height,
                                    const CodecOptions& options = {});
 
 // Decodes the first `fraction` of the coefficients; returns the pixels
-// and writes the dimensions.
+// and writes the dimensions. Padded sides that are not powers of two,
+// smaller than the image, or above the pixel cap are kCorruption.
 Result<std::vector<double>> DecodeImage2d(const std::vector<uint8_t>& stream,
                                           double fraction, size_t* width,
                                           size_t* height);

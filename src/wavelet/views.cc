@@ -91,89 +91,12 @@ Result<std::vector<double>> PartitionedView::Query(double lo, double hi,
   return out;
 }
 
-Result<std::vector<double>> PartitionedView::QueryResolution(
-    double lo, double hi, size_t level, double* start_pos) const {
-  if (hi < lo) return Status::InvalidArgument("inverted query range");
-  size_t first = 0, last = 0;
-  if (!PartitionSpan(lo, hi, &first, &last)) {
-    if (start_pos != nullptr) {
-      *start_pos = std::clamp(lo, options_.domain_lo, options_.domain_hi);
-    }
-    return std::vector<double>{};
-  }
-  std::vector<double> out;
-  for (size_t p = first; p <= last; ++p) {
-    HEDC_ASSIGN_OR_RETURN(size_t bytes,
-                          PrefixBytesForLevel(partitions_[p], level));
-    HEDC_ASSIGN_OR_RETURN(
-        std::vector<double> part,
-        DecodeSignalPrefix(partitions_[p].data(), bytes, nullptr));
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  if (start_pos != nullptr) {
-    double part_width =
-        bin_width_ * static_cast<double>(options_.bins_per_partition);
-    *start_pos = options_.domain_lo + static_cast<double>(first) * part_width;
-  }
-  return out;
-}
-
-Result<PartitionedView::RangeAggregate> PartitionedView::AggregateRange(
-    double lo, double hi, size_t level) const {
-  if (hi < lo) return Status::InvalidArgument("inverted aggregate range");
-  RangeAggregate agg;
-  size_t first = 0, last = 0;
-  if (!PartitionSpan(lo, hi, &first, &last)) return agg;
-  for (size_t p = first; p <= last; ++p) {
-    HEDC_ASSIGN_OR_RETURN(size_t bytes,
-                          PrefixBytesForLevel(partitions_[p], level));
-    PrefixInfo info;
-    HEDC_ASSIGN_OR_RETURN(
-        std::vector<double> part,
-        DecodeSignalPrefix(partitions_[p].data(), bytes, &info));
-    size_t base = p * options_.bins_per_partition;
-    size_t in_range = 0;
-    for (size_t b = 0; b < part.size(); ++b) {
-      double bin_lo =
-          options_.domain_lo + static_cast<double>(base + b) * bin_width_;
-      double bin_hi = bin_lo + bin_width_;
-      // Half-open bins: include every bin overlapping [lo, hi).
-      if (bin_lo >= hi || bin_hi <= lo) continue;
-      agg.sum += part[b];
-      ++in_range;
-    }
-    agg.bins += in_range;
-    agg.bytes_read += bytes;
-    agg.error_bound += info.SumErrorBound(in_range);
-  }
-  return agg;
-}
-
-size_t PartitionedView::ResolutionLevelCount() const {
-  if (partitions_.empty()) return 0;
-  auto levels = ResolutionLevels(partitions_.front());
-  return levels.ok() ? levels.value() : 0;
-}
-
 size_t PartitionedView::BytesForRange(double lo, double hi) const {
   if (hi < lo) return 0;
   size_t first = 0, last = 0;
   if (!PartitionSpan(lo, hi, &first, &last)) return 0;
   size_t bytes = 0;
   for (size_t p = first; p <= last; ++p) bytes += partitions_[p].size();
-  return bytes;
-}
-
-size_t PartitionedView::PrefixBytesForRange(double lo, double hi,
-                                            size_t level) const {
-  if (hi < lo) return 0;
-  size_t first = 0, last = 0;
-  if (!PartitionSpan(lo, hi, &first, &last)) return 0;
-  size_t bytes = 0;
-  for (size_t p = first; p <= last; ++p) {
-    auto prefix = PrefixBytesForLevel(partitions_[p], level);
-    if (prefix.ok()) bytes += prefix.value();
-  }
   return bytes;
 }
 

@@ -4,7 +4,9 @@
 // A PartitionedView covers a 1-D domain (e.g. observation time) split into
 // fixed-width partitions; each partition's signal is wavelet-encoded
 // independently, so a range query decodes only overlapping partitions and
-// can trade fidelity for speed via a coefficient budget.
+// can trade fidelity for speed via a coefficient budget. Error-bounded
+// range sums over a view prefix are analysis::ApproxSumFromPrefix's job
+// (what /approx serves); the view itself only reconstructs bins.
 #ifndef HEDC_WAVELET_VIEWS_H_
 #define HEDC_WAVELET_VIEWS_H_
 
@@ -27,16 +29,6 @@ class PartitionedView {
     CodecOptions codec;
   };
 
-  // Error-bounded approximate aggregate over a domain range, computed
-  // from coarse coefficient prefixes (see PrefixInfo in codec.h for the
-  // bound derivation; per-partition bounds add).
-  struct RangeAggregate {
-    double sum = 0;          // approximate sum of bin values in range
-    double error_bound = 0;  // |true sum - sum| <= error_bound
-    size_t bins = 0;         // bins contributing to the sum
-    size_t bytes_read = 0;   // encoded bytes the prefixes required
-  };
-
   // Builds the view from (position, value) samples: samples are binned
   // (summed) over the domain, then each partition is encoded as a
   // prefix-decodable progressive (HWV3) stream.
@@ -55,26 +47,9 @@ class PartitionedView {
   Result<std::vector<double>> Query(double lo, double hi, double fraction,
                                     double* start_pos) const;
 
-  // Query at a resolution level: decodes only the per-partition prefix
-  // covering levels 0..level (level 0 = per-partition mean). Levels
-  // beyond the finest clamp to a full decode.
-  Result<std::vector<double>> QueryResolution(double lo, double hi,
-                                              size_t level,
-                                              double* start_pos) const;
-
-  // Approximate sum of bin values over [lo, hi) from level-`level`
-  // prefixes, with a deterministic error bound.
-  Result<RangeAggregate> AggregateRange(double lo, double hi,
-                                        size_t level) const;
-
-  // Resolution levels per partition (log2 of padded bins + 1).
-  size_t ResolutionLevelCount() const;
-
   // Serialized size of the partitions overlapping [lo, hi] — the bytes a
   // client must download for such a query.
   size_t BytesForRange(double lo, double hi) const;
-  // Same, but only the prefix bytes needed for resolution `level`.
-  size_t PrefixBytesForRange(double lo, double hi, size_t level) const;
   size_t TotalBytes() const;
 
   const Options& options() const { return options_; }

@@ -1,6 +1,7 @@
 // Standard servlets: login/logout, catalog browsing, HLE pages, analysis
 // pages, image download, analysis submission, progressive view delivery,
 // approximate aggregates.
+#include <cmath>
 #include <memory>
 
 #include "analysis/approx.h"
@@ -617,6 +618,9 @@ class ViewServlet : public Servlet {
   }
 };
 
+// Raw photons the /approx reservoir fallback keeps per request.
+constexpr size_t kApproxReservoirSize = 256;
+
 // /approx?unit=ID[&agg=count|sum][&t_lo=..][&t_hi=..][&resolution=R]:
 // error-bounded approximate aggregate over the unit's time range,
 // answered from a coarse view prefix (deterministic ± bars, see
@@ -630,9 +634,6 @@ class ApproxServlet : public Servlet {
   HttpResponse Handle(const HttpRequest& request, dm::DataManager* dm,
                       WebServer* server) override {
     const WebServer::DeliveryOptions& opts = server->delivery_options();
-    if (!opts.approx_enabled) {
-      return HttpResponse::Forbidden("approximate aggregates disabled");
-    }
     int64_t unit_id = 0;
     if (!ParseInt64(request.GetQuery("unit"), &unit_id)) {
       return HttpResponse::BadRequest("unit required");
@@ -648,6 +649,9 @@ class ApproxServlet : public Servlet {
     double t_lo = domain_lo, t_hi = domain_hi;
     ParseDouble(request.GetQuery("t_lo"), &t_lo);
     ParseDouble(request.GetQuery("t_hi"), &t_hi);
+    if (!std::isfinite(t_lo) || !std::isfinite(t_hi)) {
+      return HttpResponse::BadRequest("time range must be finite");
+    }
     if (t_hi < t_lo) return HttpResponse::BadRequest("inverted time range");
     int64_t level = opts.approx_default_resolution;
     std::string resolution = request.GetQuery("resolution");
@@ -685,8 +689,7 @@ class ApproxServlet : public Servlet {
         return HttpResponse::NotFound(unit.status().ToString());
       }
       analysis::ReservoirSampler sampler(
-          static_cast<size_t>(std::max<int64_t>(opts.approx_reservoir_size,
-                                                1)),
+          kApproxReservoirSize,
           /*seed=*/static_cast<uint64_t>(unit_id) * 1000003 +
               static_cast<uint64_t>(meta.value().calibration_version));
       for (const rhessi::PhotonEvent& p : unit.value().photons) {
@@ -821,11 +824,8 @@ WebServer::DeliveryOptions WebServer::DeliveryOptions::FromConfig(
   DeliveryOptions out;
   out.default_view_resolution =
       config.GetInt("wavelet.default_resolution", out.default_view_resolution);
-  out.approx_enabled = config.GetBool("approx.enabled", out.approx_enabled);
   out.approx_default_resolution =
       config.GetInt("approx.resolution", out.approx_default_resolution);
-  out.approx_reservoir_size =
-      config.GetInt("approx.reservoir_size", out.approx_reservoir_size);
   return out;
 }
 
@@ -848,11 +848,11 @@ HttpResponse WebServer::Dispatch(const HttpRequest& request) {
     request.trace_id = metrics->traces().NewTraceId();
   }
   metrics->GetCounter("web.requests" + request.path)->Add();
-  // Call redirection: the request may execute on a peer DM node (§5.4).
+  // Call redirection: the request may execute on another DM node (§5.4).
   // A cluster router (when installed) owns the choice; otherwise the
-  // primary node's peer round-robin decides.
+  // primary node serves it.
   dm::DataManager* node = node_router_ ? node_router_(request) : nullptr;
-  if (node == nullptr) node = dm_->Route();
+  if (node == nullptr) node = dm_;
   node->CountRequest();
   Micros start = node->clock()->Now();
   HttpResponse response = [&] {
@@ -863,18 +863,15 @@ HttpResponse WebServer::Dispatch(const HttpRequest& request) {
   }();
   metrics->GetCounter("web.status." + std::to_string(response.status_code))
       ->Add();
-  if (record_usage_) {
-    // Operational section: usage statistics / audit trail (§4.1).
-    dm::UserProfile profile = ProfileFor(request);
-    node->io().Update(
-        "usage_stats", "INSERT INTO usage_stats VALUES (?, ?, ?, ?, ?)",
-        {db::Value::Int(stat_counter_.fetch_add(1)),
-         db::Value::Real(static_cast<double>(start) / kMicrosPerSecond),
-         db::Value::Int(profile.user_id), db::Value::Text(request.path),
-         db::Value::Real(
-             static_cast<double>(node->clock()->Now() - start) /
-             kMicrosPerMilli)});
-  }
+  // Operational section: usage statistics / audit trail (§4.1).
+  dm::UserProfile profile = ProfileFor(request);
+  node->io().Update(
+      "usage_stats", "INSERT INTO usage_stats VALUES (?, ?, ?, ?, ?)",
+      {db::Value::Int(stat_counter_.fetch_add(1)),
+       db::Value::Real(static_cast<double>(start) / kMicrosPerSecond),
+       db::Value::Int(profile.user_id), db::Value::Text(request.path),
+       db::Value::Real(static_cast<double>(node->clock()->Now() - start) /
+                       kMicrosPerMilli)});
   return response;
 }
 

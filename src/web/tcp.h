@@ -1,12 +1,12 @@
 // Loopback TCP plumbing: listener, connected socket, and a CRC-checked
 // length-delimited frame codec.
 //
-// The presentation tier historically spoke only in-process structures
-// (web/http.h); this module adds the real socket layer the middle tier
-// needs for networked call redirection (§5.4). It is deliberately small:
-// blocking sockets, per-socket receive deadlines via SO_RCVTIMEO, and a
-// frame format of [u32 length][payload][u32 crc32] so torn or garbled
-// frames surface as kCorruption instead of desynchronizing the stream.
+// The socket layer under networked call redirection (§5.4). Servers run
+// on net::Reactor (net/reactor.h), which owns its listeners; this module
+// is the blocking side used by clients such as dm::TcpChannel: blocking
+// sockets, per-socket receive deadlines via SO_RCVTIMEO, and a frame
+// format of [u32 length][payload][u32 crc32] so torn or garbled frames
+// surface as kCorruption instead of desynchronizing the stream.
 // Binds are restricted to 127.0.0.1 — the build environment has no
 // external network, and the scale-out story only needs process-local
 // sockets to make the transport (and its failure modes) real.

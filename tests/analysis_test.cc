@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -268,6 +269,16 @@ TEST(ApproxTest, ApproxSumFromPrefixWithinBound) {
       ApproxSumFromPrefix(stream.data(), stream.size(), -5.0, 9.0).ok());
   EXPECT_FALSE(
       ApproxSumFromPrefix(stream.data(), stream.size(), 0.8, 0.2).ok());
+  // Non-finite fractions are errors too: NaN passes both the ordering
+  // check and std::clamp, and would reach a float-to-size_t cast.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (auto [lo, hi] : std::initializer_list<std::pair<double, double>>{
+           {nan, 0.5}, {0.0, nan}, {nan, nan}, {-inf, 0.5}, {0.0, inf}}) {
+    auto answer = ApproxSumFromPrefix(stream.data(), stream.size(), lo, hi);
+    ASSERT_FALSE(answer.ok()) << "[" << lo << "," << hi << ")";
+    EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument);
+  }
   // Garbage bytes are a clean error.
   std::vector<uint8_t> garbage = {1, 2, 3};
   EXPECT_FALSE(ApproxSumFromPrefix(garbage.data(), garbage.size(), 0, 1).ok());

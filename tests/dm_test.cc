@@ -338,31 +338,6 @@ TEST_F(DmTest, IoLayerRoutesTables) {
   EXPECT_EQ(dm_->io().DatabaseFor("hle"), &db_);
 }
 
-TEST_F(DmTest, RedirectionRoundRobins) {
-  DataManager::Options options;
-  options.pool.connection_setup_cost = 0;
-  options.sessions.session_setup_cost = 0;
-  DataManager peer("dm1", &db_, &archives_, mapper_.get(), &clock_, options);
-  dm_->AddPeer(&peer);
-  std::map<DataManager*, int> counts;
-  for (int i = 0; i < 10; ++i) ++counts[dm_->Route()];
-  EXPECT_EQ(counts[dm_.get()], 5);
-  EXPECT_EQ(counts[&peer], 5);
-  // Force-local overwrite.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(dm_->Route(/*force_local=*/true), dm_.get());
-  }
-}
-
-TEST_F(DmTest, AsyncExecutionRuns) {
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(dm_->SubmitAsync([&ran] { ran.fetch_add(1); }));
-  }
-  dm_->DrainAsync();
-  EXPECT_EQ(ran.load(), 8);
-}
-
 TEST_F(DmTest, OperationalLogPersisted) {
   ASSERT_TRUE(dm_->LogOperational("test", "hello world").ok());
   auto rs = db_.Execute("SELECT COUNT(*) FROM op_logs WHERE component = "

@@ -211,7 +211,7 @@ TEST(Codec2dTest, BadStreamsRejected) {
   size_t w = 0, h = 0;
   EXPECT_FALSE(wavelet::DecodeImage2d({1, 2, 3}, 1.0, &w, &h).ok());
   // A 1-D stream is not a 2-D stream.
-  std::vector<uint8_t> one_d = wavelet::EncodeSignal({1, 2, 3, 4});
+  std::vector<uint8_t> one_d = wavelet::EncodeSignalProgressive({1, 2, 3, 4});
   EXPECT_FALSE(wavelet::DecodeImage2d(one_d, 1.0, &w, &h).ok());
 }
 

@@ -306,28 +306,27 @@ TEST(ProductCacheTest, FailureFailsWaitersAndDoesNotPoison) {
   EXPECT_EQ(cache.Admit(key).role, ProductCache::Role::kLeader);
 }
 
+// A key without lineage (no input units) cannot be content-addressed:
+// the cache admits nothing for it and the request runs uncached.
 TEST(ProductCacheTest, DisabledAdmitsNothing) {
   ProductCache::Options options;
-  options.enabled = false;
   options.persist = false;
   options.metric_prefix = "pc_unit_disabled";
   ProductCache cache(nullptr, options);
   analysis::AnalysisParams params;
-  ProductCacheKey key = MakeProductCacheKey("imaging", params, {{1, 1}});
+  ProductCacheKey key = MakeProductCacheKey("imaging", params, {});
+  ASSERT_FALSE(key.valid);
   EXPECT_EQ(cache.Admit(key).role, ProductCache::Role::kDisabled);
   EXPECT_FALSE(cache.Peek(key));
 }
 
 TEST(ProductCacheTest, OptionsFromConfig) {
   Config config;
-  config.Set("product_cache.enabled", "false");
   config.Set("product_cache.capacity_bytes", "12345");
   ProductCache::Options options = ProductCache::Options::FromConfig(config);
-  EXPECT_FALSE(options.enabled);
   EXPECT_EQ(options.capacity_bytes, 12345u);
   ProductCache::Options defaults =
       ProductCache::Options::FromConfig(Config{});
-  EXPECT_TRUE(defaults.enabled);
   EXPECT_EQ(defaults.capacity_bytes, 64ull << 20);
 }
 
@@ -438,11 +437,11 @@ TEST(ProductCacheFrontendTest, WarmHitSkipsExecution) {
   EXPECT_EQ(out2.predicted_seconds, 0);
 }
 
+// "No cache" is a null cache: a front end without one runs every request.
 TEST(ProductCacheFrontendTest, DisabledCacheRestoresPrePrPath) {
   std::atomic<int> runs{0};
-  Config config;
-  config.Set("product_cache.enabled", "false");
-  MiniPl pl(2, 2, &runs, nullptr, ProductCache::Options::FromConfig(config));
+  MiniPl pl(2, 2, &runs);
+  pl.frontend->set_product_cache(nullptr);
 
   for (int i = 0; i < 2; ++i) {
     Result<int64_t> id = pl.frontend->Submit(pl.Request());

@@ -53,8 +53,7 @@ TEST(CodecFuzzTest, TruncationAtEveryByte) {
   Rng rng(101);
   std::vector<double> signal = RandomSignal(&rng, 300);
   for (const std::vector<uint8_t>& stream :
-       {EncodeSignal(signal), EncodeSignalProgressive(signal),
-        EncodeImage2d(signal, 30, 10)}) {
+       {EncodeSignalProgressive(signal), EncodeImage2d(signal, 30, 10)}) {
     for (size_t size = 0; size < stream.size(); ++size) {
       std::vector<uint8_t> truncated(stream.begin(),
                                      stream.begin() + size);
@@ -63,26 +62,36 @@ TEST(CodecFuzzTest, TruncationAtEveryByte) {
   }
 }
 
-// A truncated legacy (HWV1) stream is corrupt — unlike HWV3 there is no
-// byte-prefix contract, so the decoder must refuse rather than return a
-// silently short signal.
-TEST(CodecFuzzTest, TruncatedLegacyStreamIsCorruption) {
-  Rng rng(102);
-  std::vector<uint8_t> stream = EncodeSignal(RandomSignal(&rng, 256));
-  for (size_t cut = 1; cut + 1 < stream.size(); cut += 7) {
-    std::vector<uint8_t> truncated(stream.begin(), stream.end() - cut);
-    auto decoded = DecodeSignal(truncated, 1.0);
-    ASSERT_FALSE(decoded.ok()) << "cut " << cut;
-    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
-  }
+// HWV3 is the only 1-D format: a well-formed stream in the retired
+// magnitude-ordered HWV1 layout is refused by every 1-D entry point, not
+// decoded.
+TEST(CodecFuzzTest, LegacyHwv1MagicIsCorruption) {
+  ByteBuffer buf;
+  buf.PutU32(0x48575631);  // "HWV1"
+  buf.PutVarint(4);        // original_len
+  buf.PutVarint(4);        // padded_len
+  buf.PutF64(1e-6);        // quant_step
+  buf.PutVarint(1);        // one coefficient record:
+  buf.PutVarint(0);        //   index 0 (DC)
+  buf.PutSignedVarint(1000000);
+  std::vector<uint8_t> legacy = buf.data();
+
+  auto decoded = DecodeSignal(legacy, 1.0);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  auto count = CoefficientCount(legacy);
+  ASSERT_FALSE(count.ok());
+  EXPECT_EQ(count.status().code(), StatusCode::kCorruption);
+  auto prefix = DecodeSignalPrefix(legacy);
+  ASSERT_FALSE(prefix.ok());
+  EXPECT_EQ(prefix.status().code(), StatusCode::kCorruption);
 }
 
 TEST(CodecFuzzTest, BitFlipsNeverCrash) {
   Rng rng(103);
   std::vector<double> signal = RandomSignal(&rng, 400);
   std::vector<std::vector<uint8_t>> streams = {
-      EncodeSignal(signal), EncodeSignalProgressive(signal),
-      EncodeImage2d(signal, 20, 20)};
+      EncodeSignalProgressive(signal), EncodeImage2d(signal, 20, 20)};
   for (const auto& stream : streams) {
     for (int round = 0; round < 400; ++round) {
       std::vector<uint8_t> mutated = stream;
@@ -146,11 +155,33 @@ TEST(CodecFuzzTest, HostileLengthFieldsRejected) {
   // original_len larger than padded_len.
   EXPECT_FALSE(DecodeSignalPrefix(craft(256, 64, 4)).ok());
 
-  // The same hostile headers through the format-sniffing entry point.
+  // The same hostile headers through the fraction-decoding entry point.
   for (auto& hostile :
        {craft(1ull << 40, 1ull << 40, 4), craft(100, 100, 4),
         craft(64, 64, 1 << 20)}) {
     auto decoded = DecodeSignal(hostile, 1.0);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  }
+
+  // HWV2 (2-D) headers with hostile padded sides: pw * ph = 2^62 * 4
+  // wraps to 0 in 64 bits, and a side that is not a power of two cannot
+  // be the padded extent of any image.
+  auto craft_2d = [](uint64_t w, uint64_t h, uint64_t pw, uint64_t ph) {
+    ByteBuffer buf;
+    buf.PutU32(0x48575632);  // "HWV2"
+    buf.PutVarint(w);
+    buf.PutVarint(h);
+    buf.PutVarint(pw);
+    buf.PutVarint(ph);
+    buf.PutF64(1.0);  // quant_step
+    buf.PutVarint(0);  // no coefficients
+    return buf.data();
+  };
+  for (auto& hostile : {craft_2d(1, 1, 1ull << 62, 4), craft_2d(3, 1, 3, 1),
+                        craft_2d(5, 2, 4, 2)}) {
+    size_t w = 0, h = 0;
+    auto decoded = DecodeImage2d(hostile, 1.0, &w, &h);
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
   }
@@ -203,9 +234,10 @@ TEST(CodecFuzzStress, MutationSoak) {
   for (int round = 0; round < 3000; ++round) {
     size_t n = static_cast<size_t>(rng.UniformInt(1, 700));
     std::vector<double> signal = RandomSignal(&rng, n);
-    std::vector<uint8_t> stream = (round % 2 == 0)
-                                      ? EncodeSignalProgressive(signal)
-                                      : EncodeSignal(signal);
+    size_t width = static_cast<size_t>(rng.UniformInt(1, 32));
+    std::vector<uint8_t> stream =
+        (round % 2 == 0) ? EncodeSignalProgressive(signal)
+                         : EncodeImage2d(signal, width, n / width);
     // Mutate: truncate, flip, or splice.
     switch (rng.UniformInt(0, 2)) {
       case 0:
