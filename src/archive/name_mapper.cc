@@ -141,6 +141,7 @@ Status NameMapper::Init() {
   (void)r2;
   for (const char* sql :
        {"CREATE INDEX archives_by_id ON archives (archive_id) USING HASH",
+        "CREATE INDEX loc_by_id ON location_entries (entry_id) USING HASH",
         "CREATE INDEX loc_by_item ON location_entries (item_id) USING HASH",
         "CREATE INDEX loc_by_archive ON location_entries (archive_id) "
         "USING HASH"}) {

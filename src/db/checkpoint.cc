@@ -189,10 +189,6 @@ Status LoadSnapshot(Database* db, const std::string& snapshot_path) {
 
 Status Checkpoint(Database* db, const std::string& snapshot_path,
                   const std::string& wal_path) {
-  if (db->in_transaction()) {
-    return Status::FailedPrecondition(
-        "cannot checkpoint with an open transaction");
-  }
   HEDC_RETURN_IF_ERROR(WriteSnapshot(db, snapshot_path));
   return db->ResetWal(wal_path);
 }

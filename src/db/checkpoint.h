@@ -21,7 +21,8 @@ Status LoadSnapshot(Database* db, const std::string& snapshot_path);
 
 // Full checkpoint for a WAL-backed database: snapshot, then truncate the
 // WAL file (the snapshot now carries everything up to this point).
-// The database must currently have no open transaction.
+// Requires no concurrent writers: a unit that lands between the snapshot
+// and the truncation would be lost.
 Status Checkpoint(Database* db, const std::string& snapshot_path,
                   const std::string& wal_path);
 

@@ -1,5 +1,7 @@
 #include "db/database.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <thread>
 
@@ -52,6 +54,20 @@ Counter* StaleIndexCounter() {
 
 std::string NormalizeName(std::string_view name) { return ToLower(name); }
 
+// The table a DML statement writes; null for any other statement.
+const std::string* TargetTable(const Statement& stmt) {
+  switch (stmt.kind) {
+    case Statement::Kind::kInsert:
+      return &stmt.insert.table;
+    case Statement::Kind::kUpdate:
+      return &stmt.update.table;
+    case Statement::Kind::kDelete:
+      return &stmt.del.table;
+    default:
+      return nullptr;
+  }
+}
+
 }  // namespace
 
 Value ResultSet::Get(size_t row, const std::string& column) const {
@@ -66,8 +82,14 @@ Value ResultSet::Get(size_t row, const std::string& column) const {
 
 Status Database::OpenWal(const std::string& wal_path) {
   std::vector<WalRecord> records;
-  Status read = WriteAheadLog::ReadAll(wal_path, &records);
+  uint64_t valid_bytes = 0;
+  Status read = WriteAheadLog::ReadAll(wal_path, &records, &valid_bytes);
   if (!read.ok() && !read.IsNotFound()) return read;
+  // Cut a torn tail, so that new units are not appended behind it.
+  if (read.ok() &&
+      ::truncate(wal_path.c_str(), static_cast<off_t>(valid_bytes)) != 0) {
+    return Status::Internal("cannot cut the torn tail of WAL " + wal_path);
+  }
   std::unique_lock<std::shared_mutex> lock(catalog_mu_);
   // Replay into the catalog before enabling logging so replay itself is
   // not re-logged.
@@ -136,116 +158,8 @@ Status Database::ResetWal(const std::string& wal_path) {
   return wal_.Open(wal_path);
 }
 
-void Database::LogOrBuffer(WalRecord record) {
-  if (!wal_enabled_) return;
-  if (in_txn_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(txn_state_mu_);
-    if (in_txn_.load(std::memory_order_relaxed)) {
-      txn_wal_buffer_.push_back(std::move(record));
-      return;
-    }
-  }
-  wal_.Append(record);
-}
-
-void Database::RecordMutation(WalRecord record, UndoOp undo) {
-  if (in_txn_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(txn_state_mu_);
-    if (in_txn_.load(std::memory_order_relaxed)) {
-      undo_log_.push_back(std::move(undo));
-      if (wal_enabled_) txn_wal_buffer_.push_back(std::move(record));
-      return;
-    }
-  }
-  if (wal_enabled_) wal_.Append(record);
-}
-
-Status Database::Begin() {
-  std::lock_guard<std::mutex> lock(txn_mu_);
-  if (in_txn_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition("transaction already open");
-  }
-  std::lock_guard<std::mutex> state_lock(txn_state_mu_);
-  undo_log_.clear();
-  txn_wal_buffer_.clear();
-  in_txn_.store(true, std::memory_order_release);
-  return Status::Ok();
-}
-
-Status Database::Commit() {
-  std::lock_guard<std::mutex> lock(txn_mu_);
-  if (!in_txn_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition("no open transaction");
-  }
-  std::vector<WalRecord> to_flush;
-  {
-    std::lock_guard<std::mutex> state_lock(txn_state_mu_);
-    to_flush = std::move(txn_wal_buffer_);
-    txn_wal_buffer_.clear();
-  }
-  if (wal_.is_open() && !to_flush.empty()) {
-    // One durable unit: the whole transaction shares a single fsync.
-    Status appended = wal_.AppendBatch(to_flush);
-    if (!appended.ok()) {
-      std::lock_guard<std::mutex> state_lock(txn_state_mu_);
-      txn_wal_buffer_ = std::move(to_flush);
-      return appended;
-    }
-  }
-  std::lock_guard<std::mutex> state_lock(txn_state_mu_);
-  undo_log_.clear();
-  in_txn_.store(false, std::memory_order_release);
-  return Status::Ok();
-}
-
-Status Database::Rollback() {
-  std::lock_guard<std::mutex> txn_lock(txn_mu_);
-  if (!in_txn_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition("no open transaction");
-  }
-  std::vector<UndoOp> undo;
-  {
-    std::lock_guard<std::mutex> state_lock(txn_state_mu_);
-    undo = std::move(undo_log_);
-    undo_log_.clear();
-    txn_wal_buffer_.clear();
-    in_txn_.store(false, std::memory_order_release);
-  }
-
-  std::shared_lock<std::shared_mutex> lock(catalog_mu_);
-  // Latch every touched table exclusively, in ascending name order (the
-  // deterministic order that keeps the latch hierarchy deadlock-free).
-  std::vector<std::string> keys;
-  for (const UndoOp& op : undo) keys.push_back(NormalizeName(op.table));
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  std::vector<std::unique_lock<std::shared_mutex>> latches;
-  latches.reserve(keys.size());
-  for (const std::string& key : keys) {
-    auto it = tables_.find(key);
-    if (it != tables_.end()) latches.emplace_back(it->second->latch);
-  }
-
-  // Undo in reverse order.
-  for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-    auto table_it = tables_.find(NormalizeName(it->table));
-    if (table_it == tables_.end()) continue;
-    Table* table = &table_it->second->table;
-    switch (it->op) {
-      case WalOp::kInsert:
-        table->Delete(it->row_id);
-        break;
-      case WalOp::kUpdate:
-        table->Update(it->row_id, it->old_row);
-        break;
-      case WalOp::kDelete:
-        table->InsertWithId(it->row_id, it->old_row);
-        break;
-      default:
-        break;
-    }
-  }
-  return Status::Ok();
+Status Database::LogDdl(const WalRecord& record) {
+  return wal_enabled_ ? wal_.Append(record) : Status::Ok();
 }
 
 Database::TableEntry* Database::FindEntry(const std::string& name) {
@@ -313,41 +227,112 @@ Result<ResultSet> Database::ExecuteStatement(
       ScopedTimer timer(QueryLatency());
       return ExecSelect(stmt.select, params);
     }
-    case Statement::Kind::kInsert: {
-      stats_.updates.fetch_add(1, std::memory_order_relaxed);
-      ScopedTimer timer(UpdateLatency());
-      return ExecInsert(stmt.insert, params);
-    }
-    case Statement::Kind::kUpdate: {
-      stats_.updates.fetch_add(1, std::memory_order_relaxed);
-      ScopedTimer timer(UpdateLatency());
-      return ExecUpdate(stmt.update, params);
-    }
-    case Statement::Kind::kDelete: {
-      stats_.updates.fetch_add(1, std::memory_order_relaxed);
-      ScopedTimer timer(UpdateLatency());
-      return ExecDelete(stmt.del, params);
-    }
+    case Statement::Kind::kInsert:
+    case Statement::Kind::kUpdate:
+    case Statement::Kind::kDelete:
+      return ExecuteUnit({{&stmt, &params}});
     case Statement::Kind::kCreateTable:
       return ExecCreateTable(stmt.create_table);
     case Statement::Kind::kCreateIndex:
       return ExecCreateIndex(stmt.create_index);
     case Statement::Kind::kDropTable:
       return ExecDropTable(stmt.drop_table);
-    case Statement::Kind::kBegin: {
-      HEDC_RETURN_IF_ERROR(Begin());
-      return ResultSet{};
-    }
-    case Statement::Kind::kCommit: {
-      HEDC_RETURN_IF_ERROR(Commit());
-      return ResultSet{};
-    }
-    case Statement::Kind::kRollback: {
-      HEDC_RETURN_IF_ERROR(Rollback());
-      return ResultSet{};
-    }
   }
   return Status::Internal("unreachable statement kind");
+}
+
+Status Database::ExecuteAtomically(const std::vector<BoundSql>& statements) {
+  std::vector<std::unique_ptr<Statement>> parsed;
+  std::vector<UnitStatement> unit;
+  for (const BoundSql& s : statements) {
+    HEDC_ASSIGN_OR_RETURN(std::unique_ptr<Statement> stmt, ParseSql(s.sql));
+    if (TargetTable(*stmt) == nullptr) {
+      return Status::InvalidArgument(
+          "only INSERT, UPDATE and DELETE run in an atomic unit: " + s.sql);
+    }
+    unit.push_back(UnitStatement{stmt.get(), &s.params});
+    parsed.push_back(std::move(stmt));
+  }
+  if (unit.empty()) return Status::Ok();
+  return ExecuteUnit(unit).status();
+}
+
+Result<ResultSet> Database::ExecuteUnit(
+    const std::vector<UnitStatement>& statements) {
+  // Each statement counts once, and its latency is its unit's: it is not
+  // done until the unit is durable.
+  stats_.updates.fetch_add(static_cast<int64_t>(statements.size()),
+                           std::memory_order_relaxed);
+  ScopedTimer clock(nullptr);
+  Result<ResultSet> result = [&]() -> Result<ResultSet> {
+    std::shared_lock<std::shared_mutex> catalog(catalog_mu_);
+    std::vector<TableEntry*> entries;  // one per statement
+    for (const UnitStatement& s : statements) {
+      const std::string& name = *TargetTable(*s.stmt);
+      TableEntry* entry = FindEntry(name);
+      if (entry == nullptr) return Status::NotFound("table " + name);
+      entries.push_back(entry);
+    }
+    // Latch each table once, exclusively, in ascending name order.
+    std::vector<TableEntry*> latch_order = entries;
+    std::sort(latch_order.begin(), latch_order.end(),
+              [](const TableEntry* a, const TableEntry* b) {
+                return ToLower(a->table.name()) < ToLower(b->table.name());
+              });
+    latch_order.erase(std::unique(latch_order.begin(), latch_order.end()),
+                      latch_order.end());
+    std::vector<std::unique_lock<std::shared_mutex>> latches;
+    latches.reserve(latch_order.size());
+    for (TableEntry* e : latch_order) latches.emplace_back(e->latch);
+
+    WriteUnit unit;
+    ResultSet last;
+    for (size_t i = 0; i < statements.size(); ++i) {
+      const Statement& stmt = *statements[i].stmt;
+      const std::vector<Value>& params = *statements[i].params;
+      Table* table = &entries[i]->table;
+      Result<ResultSet> applied =
+          stmt.kind == Statement::Kind::kInsert
+              ? ExecInsert(table, stmt.insert, params, &unit)
+          : stmt.kind == Statement::Kind::kUpdate
+              ? ExecUpdate(table, stmt.update, params, &unit)
+              : ExecDelete(table, stmt.del, params, &unit);
+      if (!applied.ok()) {
+        Undo(unit);
+        return applied.status();
+      }
+      last = std::move(applied).value();
+    }
+    if (wal_enabled_ && !unit.wal.empty()) {
+      Status logged = wal_.AppendBatch(unit.wal);
+      if (!logged.ok()) {
+        Undo(unit);
+        return logged;
+      }
+    }
+    return last;
+  }();
+  const int64_t us = clock.ElapsedUs();
+  for (size_t i = 0; i < statements.size(); ++i) UpdateLatency()->Observe(us);
+  return result;
+}
+
+void Database::Undo(const WriteUnit& unit) {
+  // Newest first, so every step restores the exact state the mutation
+  // it reverts saw (no key conflict can arise).
+  for (auto it = unit.undo.rbegin(); it != unit.undo.rend(); ++it) {
+    switch (it->op) {
+      case WalOp::kInsert:
+        it->table->Delete(it->row_id);
+        break;
+      case WalOp::kUpdate:
+        it->table->Update(it->row_id, it->old_row);
+        break;
+      default:  // kDelete
+        it->table->InsertWithId(it->row_id, it->old_row);
+        break;
+    }
+  }
 }
 
 Status Database::CollectIndexCandidates(Table* table, const Expr* where,
@@ -642,13 +627,9 @@ Result<ResultSet> Database::ExecSelect(const SelectStmt& stmt,
   return result;
 }
 
-Result<ResultSet> Database::ExecInsert(const InsertStmt& stmt,
-                                       const std::vector<Value>& params) {
-  std::shared_lock<std::shared_mutex> catalog(catalog_mu_);
-  TableEntry* entry = FindEntry(stmt.table);
-  if (entry == nullptr) return Status::NotFound("table " + stmt.table);
-  std::unique_lock<std::shared_mutex> latch(entry->latch);
-  Table* table = &entry->table;
+Result<ResultSet> Database::ExecInsert(Table* table, const InsertStmt& stmt,
+                                       const std::vector<Value>& params,
+                                       WriteUnit* unit) {
   const Schema& schema = table->schema();
 
   // Column mapping.
@@ -678,24 +659,19 @@ Result<ResultSet> Database::ExecInsert(const InsertStmt& stmt,
       row[targets[i]] = std::move(v);
     }
     HEDC_ASSIGN_OR_RETURN(int64_t row_id, table->Insert(std::move(row)));
-    Result<Row> inserted = table->Get(row_id);
-    RecordMutation(WalRecord{WalOp::kInsert, table->name(), row_id,
-                             inserted.ok() ? inserted.value() : Row{},
-                             Schema{}, "", "", false},
-                   UndoOp{WalOp::kInsert, table->name(), row_id, {}});
+    unit->undo.push_back({WalOp::kInsert, table, row_id, {}});
+    unit->wal.push_back(WalRecord{WalOp::kInsert, table->name(), row_id,
+                                  *table->Find(row_id), Schema{}, "", "",
+                                  false});
     result.last_insert_row_id = row_id;
     ++result.affected_rows;
   }
   return result;
 }
 
-Result<ResultSet> Database::ExecUpdate(const UpdateStmt& stmt,
-                                       const std::vector<Value>& params) {
-  std::shared_lock<std::shared_mutex> catalog(catalog_mu_);
-  TableEntry* entry = FindEntry(stmt.table);
-  if (entry == nullptr) return Status::NotFound("table " + stmt.table);
-  std::unique_lock<std::shared_mutex> latch(entry->latch);
-  Table* table = &entry->table;
+Result<ResultSet> Database::ExecUpdate(Table* table, const UpdateStmt& stmt,
+                                       const std::vector<Value>& params,
+                                       WriteUnit* unit) {
   const Schema& schema = table->schema();
 
   std::unique_ptr<Expr> where;
@@ -750,24 +726,18 @@ Result<ResultSet> Database::ExecUpdate(const UpdateStmt& stmt,
     // `current` dies with this Update; no use after it below.
     Row old_row;
     HEDC_RETURN_IF_ERROR(table->Update(row_id, std::move(updated), &old_row));
-    Result<Row> new_row = table->Get(row_id);
-    RecordMutation(
-        WalRecord{WalOp::kUpdate, table->name(), row_id,
-                  new_row.ok() ? new_row.value() : Row{}, Schema{}, "", "",
-                  false},
-        UndoOp{WalOp::kUpdate, table->name(), row_id, std::move(old_row)});
+    unit->undo.push_back({WalOp::kUpdate, table, row_id, std::move(old_row)});
+    unit->wal.push_back(WalRecord{WalOp::kUpdate, table->name(), row_id,
+                                  *table->Find(row_id), Schema{}, "", "",
+                                  false});
     ++result.affected_rows;
   }
   return result;
 }
 
-Result<ResultSet> Database::ExecDelete(const DeleteStmt& stmt,
-                                       const std::vector<Value>& params) {
-  std::shared_lock<std::shared_mutex> catalog(catalog_mu_);
-  TableEntry* entry = FindEntry(stmt.table);
-  if (entry == nullptr) return Status::NotFound("table " + stmt.table);
-  std::unique_lock<std::shared_mutex> latch(entry->latch);
-  Table* table = &entry->table;
+Result<ResultSet> Database::ExecDelete(Table* table, const DeleteStmt& stmt,
+                                       const std::vector<Value>& params,
+                                       WriteUnit* unit) {
   const Schema& schema = table->schema();
 
   std::unique_ptr<Expr> where;
@@ -801,10 +771,9 @@ Result<ResultSet> Database::ExecDelete(const DeleteStmt& stmt,
     }
     Row old_row;
     HEDC_RETURN_IF_ERROR(table->Delete(row_id, &old_row));
-    RecordMutation(
-        WalRecord{WalOp::kDelete, table->name(), row_id, Row{}, Schema{},
-                  "", "", false},
-        UndoOp{WalOp::kDelete, table->name(), row_id, std::move(old_row)});
+    unit->undo.push_back({WalOp::kDelete, table, row_id, std::move(old_row)});
+    unit->wal.push_back(WalRecord{WalOp::kDelete, table->name(), row_id, Row{},
+                                  Schema{}, "", "", false});
     ++result.affected_rows;
   }
   return result;
@@ -858,10 +827,10 @@ Result<ResultSet> Database::ExecCreateTable(const CreateTableStmt& stmt) {
     if (stmt.if_not_exists) return ResultSet{};
     return Status::AlreadyExists("table " + stmt.table);
   }
+  HEDC_RETURN_IF_ERROR(LogDdl(WalRecord{WalOp::kCreateTable, stmt.table, 0,
+                                        Row{}, stmt.schema, "", "", false}));
   tables_[key] = std::make_unique<TableEntry>(stmt.table, stmt.schema,
                                               exec_options_.morsel_rows);
-  LogOrBuffer(WalRecord{WalOp::kCreateTable, stmt.table, 0, Row{},
-                        stmt.schema, "", "", false});
   return ResultSet{};
 }
 
@@ -872,8 +841,11 @@ Result<ResultSet> Database::ExecCreateIndex(const CreateIndexStmt& stmt) {
   HEDC_RETURN_IF_ERROR(entry->table.CreateIndex(
       stmt.index_name, stmt.column,
       stmt.hash ? IndexKind::kHash : IndexKind::kBTree));
-  LogOrBuffer(WalRecord{WalOp::kCreateIndex, stmt.table, 0, Row{}, Schema{},
-                        stmt.index_name, stmt.column, stmt.hash});
+  // An index is derived state: one left behind by a failed append changes
+  // no answer and is simply not recovered.
+  HEDC_RETURN_IF_ERROR(LogDdl(WalRecord{WalOp::kCreateIndex, stmt.table, 0,
+                                        Row{}, Schema{}, stmt.index_name,
+                                        stmt.column, stmt.hash}));
   return ResultSet{};
 }
 
@@ -885,9 +857,9 @@ Result<ResultSet> Database::ExecDropTable(const DropTableStmt& stmt) {
     if (stmt.if_exists) return ResultSet{};
     return Status::NotFound("table " + stmt.table);
   }
+  HEDC_RETURN_IF_ERROR(LogDdl(WalRecord{WalOp::kDropTable, stmt.table, 0,
+                                        Row{}, Schema{}, "", "", false}));
   tables_.erase(it);
-  LogOrBuffer(WalRecord{WalOp::kDropTable, stmt.table, 0, Row{}, Schema{},
-                        "", "", false});
   return ResultSet{};
 }
 

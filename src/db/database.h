@@ -1,18 +1,25 @@
-// Database: catalog + SQL executor + transactions.
+// Database: catalog + SQL executor with atomic write units.
 //
 // Plays the role Oracle plays in HEDC: it stores only metadata (the actual
 // science data lives in the archive's file system) and serves the indexed
 // point/range/count queries the DM issues.
 //
+// Every mutation runs as one atomic write unit: a single INSERT/UPDATE/
+// DELETE (Execute) or several of them (ExecuteAtomically, the §4.4
+// entity transaction). A unit latches its tables, applies each statement
+// while collecting WAL records and undo entries, appends the records as
+// one durable WAL unit, and on any statement or WAL error undoes what it
+// applied and returns that error. Nothing of a failed unit is visible to
+// later statements or reaches the log.
+//
 // Concurrency model (latch hierarchy, acquired strictly in this order):
 //   1. catalog_mu_ — shared by every statement, exclusive for DDL
 //      (CREATE/DROP TABLE, CREATE INDEX) and WAL reset;
-//   2. one per-table latch — shared for SELECT, exclusive for DML.
-// A DML statement touches one table latch, so writers to different
-// tables proceed in parallel; the multi-latch paths (joined SELECTs and
-// transaction rollback) acquire latches in ascending table-name order,
-// which keeps the hierarchy deadlock-free. Explicit transactions assume a
-// single writer thread (Begin/Commit/Rollback serialize on txn_mu_).
+//   2. per-table latches — shared for SELECT, exclusive for a write
+//      unit's tables, held until the unit is durable or undone.
+// Units on disjoint tables proceed in parallel. The multi-latch paths
+// (joined SELECTs and write units of several tables) acquire latches in
+// ascending table-name order, which keeps the hierarchy deadlock-free.
 #ifndef HEDC_DB_DATABASE_H_
 #define HEDC_DB_DATABASE_H_
 
@@ -46,6 +53,12 @@ struct ResultSet {
   size_t num_rows() const { return rows.size(); }
   // Value at (row, named column); Null when out of range/unknown.
   Value Get(size_t row, const std::string& column) const;
+};
+
+// One statement of an atomic write unit, with its '?' bindings.
+struct BoundSql {
+  std::string sql;
+  std::vector<Value> params;
 };
 
 // Execution statistics for the evaluation harness.
@@ -92,23 +105,21 @@ class Database {
   bool wal_enabled() const { return wal_enabled_; }
 
   // Parses and executes one statement. `params` bind '?' markers in order.
+  // An INSERT/UPDATE/DELETE is an atomic write unit of one: a statement
+  // that fails part-way (say on its second VALUES row) leaves no trace.
   Result<ResultSet> Execute(std::string_view sql,
                             const std::vector<Value>& params = {});
+
+  // Executes INSERT/UPDATE/DELETE statements as one atomic write unit:
+  // either all of them apply and reach the WAL as one durable unit, or
+  // none does and the first error is returned. SELECT and DDL are
+  // InvalidArgument.
+  Status ExecuteAtomically(const std::vector<BoundSql>& statements);
 
   // Executes a pre-parsed statement (prepared-statement path; the
   // statement is not consumed and can be re-executed with new params).
   Result<ResultSet> ExecuteStatement(const Statement& stmt,
                                      const std::vector<Value>& params);
-
-  // Explicit transactions (single writer at a time). DML inside a
-  // transaction is applied immediately but undone on Rollback; WAL records
-  // are buffered until Commit (flushed as one group-committed batch).
-  Status Begin();
-  Status Commit();
-  Status Rollback();
-  bool in_transaction() const {
-    return in_txn_.load(std::memory_order_acquire);
-  }
 
   // Direct table access for substrates that bypass SQL (BlobStore, tests).
   // The lookup is latched, but the returned table is not: callers are
@@ -133,11 +144,17 @@ class Database {
       const SelectStmt& stmt, const std::vector<Value>& params);
 
  private:
-  struct UndoOp {
-    WalOp op;  // inverse action is derived from this
-    std::string table;
-    int64_t row_id = 0;
-    Row old_row;
+  // What a write unit has applied so far, in statement order: the WAL
+  // records to append and the undo entries that revert them.
+  struct WriteUnit {
+    struct Undo {
+      WalOp op;  // the applied mutation; its inverse is derived from it
+      Table* table;
+      int64_t row_id;
+      Row old_row;  // update/delete: the previous image
+    };
+    std::vector<WalRecord> wal;
+    std::vector<Undo> undo;
   };
 
   // A catalog slot: the table plus its latch. Entries are only created or
@@ -156,12 +173,26 @@ class Database {
   // and runs it vectorized or row-at-a-time per exec_options_.
   Result<ResultSet> ExecJoinedSelect(const SelectStmt& stmt,
                                      const std::vector<Value>& params);
-  Result<ResultSet> ExecInsert(const InsertStmt& stmt,
-                               const std::vector<Value>& params);
-  Result<ResultSet> ExecUpdate(const UpdateStmt& stmt,
-                               const std::vector<Value>& params);
-  Result<ResultSet> ExecDelete(const DeleteStmt& stmt,
-                               const std::vector<Value>& params);
+  struct UnitStatement {
+    const Statement* stmt;  // INSERT, UPDATE or DELETE
+    const std::vector<Value>* params;
+  };
+  // Runs DML statements as one atomic write unit (see file comment) and
+  // returns the last statement's result.
+  Result<ResultSet> ExecuteUnit(const std::vector<UnitStatement>& statements);
+  // Reverts everything `unit` applied, newest first. Caller holds the
+  // unit's table latches.
+  static void Undo(const WriteUnit& unit);
+  // DML on an already exclusively latched table; appends to `unit`.
+  Result<ResultSet> ExecInsert(Table* table, const InsertStmt& stmt,
+                               const std::vector<Value>& params,
+                               WriteUnit* unit);
+  Result<ResultSet> ExecUpdate(Table* table, const UpdateStmt& stmt,
+                               const std::vector<Value>& params,
+                               WriteUnit* unit);
+  Result<ResultSet> ExecDelete(Table* table, const DeleteStmt& stmt,
+                               const std::vector<Value>& params,
+                               WriteUnit* unit);
   Result<ResultSet> ExecCreateTable(const CreateTableStmt& stmt);
   Result<ResultSet> ExecCreateIndex(const CreateIndexStmt& stmt);
   Result<ResultSet> ExecDropTable(const DropTableStmt& stmt);
@@ -190,10 +221,9 @@ class Database {
   // limited by ExecOptions::scan_threads instead).
   ThreadPool* ScanPool();
 
-  void LogOrBuffer(WalRecord record);
-  // DML bookkeeping: buffers WAL record + undo inside a transaction,
-  // appends straight to the WAL otherwise.
-  void RecordMutation(WalRecord record, UndoOp undo);
+  // Logs a DDL record (caller holds catalog_mu_ exclusively); Ok when
+  // the WAL is off.
+  Status LogDdl(const WalRecord& record);
 
   // Latch hierarchy level 1 (see file comment).
   mutable std::shared_mutex catalog_mu_;
@@ -204,12 +234,6 @@ class Database {
   ExecOptions exec_options_;
   std::once_flag scan_pool_once_;
   std::unique_ptr<ThreadPool> scan_pool_;
-
-  std::mutex txn_mu_;  // serializes explicit transactions
-  std::atomic<bool> in_txn_{false};
-  std::mutex txn_state_mu_;  // guards the two buffers below
-  std::vector<UndoOp> undo_log_;
-  std::vector<WalRecord> txn_wal_buffer_;
 
   DbStats stats_;
 };

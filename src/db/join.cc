@@ -651,7 +651,7 @@ Result<ResultSet> Database::ExecJoinedSelect(const SelectStmt& stmt,
 
   // Resolve the FROM list and latch every table (shared), in ascending
   // table-name order so the hierarchy stays deadlock-free against
-  // multi-latch writers (transaction rollback uses the same order).
+  // multi-table write units (which latch in the same order).
   std::vector<std::string> names;
   names.push_back(stmt.table);
   for (const JoinClause& jc : stmt.joins) names.push_back(jc.table);

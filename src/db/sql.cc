@@ -171,15 +171,6 @@ class Parser {
     } else if (IsKeyword("DROP")) {
       stmt->kind = Statement::Kind::kDropTable;
       HEDC_RETURN_IF_ERROR(ParseDrop(&stmt->drop_table));
-    } else if (IsKeyword("BEGIN")) {
-      Advance();
-      stmt->kind = Statement::Kind::kBegin;
-    } else if (IsKeyword("COMMIT")) {
-      Advance();
-      stmt->kind = Statement::Kind::kCommit;
-    } else if (IsKeyword("ROLLBACK")) {
-      Advance();
-      stmt->kind = Statement::Kind::kRollback;
     } else {
       return Status::InvalidArgument("expected a SQL statement, got '" +
                                      Peek().text + "'");

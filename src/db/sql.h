@@ -100,9 +100,6 @@ struct Statement {
     kCreateTable,
     kCreateIndex,
     kDropTable,
-    kBegin,
-    kCommit,
-    kRollback,
   };
   Kind kind;
   SelectStmt select;

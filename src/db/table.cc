@@ -134,15 +134,6 @@ Status Table::Delete(int64_t row_id, Row* old_row) {
   return Status::Ok();
 }
 
-Result<Row> Table::Get(int64_t row_id) const {
-  const Row* row = Slot(row_id);
-  if (row == nullptr) {
-    return Status::NotFound(
-        StrFormat("row %lld in table %s", (long long)row_id, name_.c_str()));
-  }
-  return *row;
-}
-
 const Row* Table::Find(int64_t row_id) const { return Slot(row_id); }
 
 bool Table::Exists(int64_t row_id) const { return Slot(row_id) != nullptr; }

@@ -63,8 +63,6 @@ class Table {
   // Deletes a row; previous image returned via `old_row` if non-null.
   Status Delete(int64_t row_id, Row* old_row = nullptr);
 
-  // Fetches a row copy by id.
-  Result<Row> Get(int64_t row_id) const;
   // Borrowed pointer to the row, or nullptr if absent. Stable until the
   // next mutation of this table (callers hold the table latch).
   const Row* Find(int64_t row_id) const;

@@ -2,6 +2,8 @@
 
 #include <unistd.h>
 
+#include <span>
+
 #include "core/crc32.h"
 #include "core/metrics.h"
 #include "core/strings.h"
@@ -240,38 +242,33 @@ void WriteAheadLog::Close() {
   }
 }
 
-bool WriteAheadLog::is_open() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return file_ != nullptr;
-}
-
 namespace {
 
-// Frames one record: u32 crc, u32 len, payload.
-void AppendFrame(const WalRecord& record, std::string* out) {
+// Frames one durable unit: u32 crc, u32 len, payload (varint record
+// count, then the records).
+std::string EncodeUnit(std::span<const WalRecord> records) {
   ByteBuffer payload;
-  WriteAheadLog::EncodeRecord(record, &payload);
+  payload.PutVarint(records.size());
+  for (const WalRecord& record : records) {
+    WriteAheadLog::EncodeRecord(record, &payload);
+  }
   ByteBuffer frame;
   frame.PutU32(Crc32(payload.data()));
   frame.PutU32(static_cast<uint32_t>(payload.size()));
   frame.PutBytes(payload.data().data(), payload.size());
-  out->append(reinterpret_cast<const char*>(frame.data().data()),
-              frame.size());
+  return std::string(reinterpret_cast<const char*>(frame.data().data()),
+                     frame.size());
 }
 
 }  // namespace
 
 Status WriteAheadLog::Append(const WalRecord& record) {
-  std::string bytes;
-  AppendFrame(record, &bytes);
-  return EnqueueAndWait(std::move(bytes), 1);
+  return EnqueueAndWait(EncodeUnit({&record, 1}), 1);
 }
 
 Status WriteAheadLog::AppendBatch(const std::vector<WalRecord>& records) {
   if (records.empty()) return Status::Ok();
-  std::string bytes;
-  for (const WalRecord& record : records) AppendFrame(record, &bytes);
-  return EnqueueAndWait(std::move(bytes), records.size());
+  return EnqueueAndWait(EncodeUnit(records), records.size());
 }
 
 Status WriteAheadLog::WriteBatch(std::unique_lock<std::mutex>* lock,
@@ -283,6 +280,9 @@ Status WriteAheadLog::WriteBatch(std::unique_lock<std::mutex>* lock,
   Status status;
   {
     ScopedTimer timer(Metrics().fsync_us);
+    // Only the leader writes, and the previous group was flushed, so the
+    // end of the file is where this group starts.
+    const off_t start = ::lseek(::fileno(file), 0, SEEK_END);
     for (const PendingUnit& unit : batch) {
       size_t written =
           std::fwrite(unit.bytes.data(), 1, unit.bytes.size(), file);
@@ -297,6 +297,12 @@ Status WriteAheadLog::WriteBatch(std::unique_lock<std::mutex>* lock,
       if (std::fflush(file) != 0 || ::fsync(::fileno(file)) != 0) {
         status = Status::Internal("WAL fsync failed");
       }
+    }
+    // Every unit of a failed group is reported failed, so none may be
+    // recovered either: cut whatever part of the group reached the file.
+    if (!status.ok() &&
+        (start < 0 || ::ftruncate(::fileno(file), start) != 0)) {
+      status = Status::Internal(status.message() + "; cutting it failed");
     }
   }
   if (status.ok()) {
@@ -343,7 +349,8 @@ Status WriteAheadLog::EnqueueAndWait(std::string bytes, size_t records) {
 }
 
 Status WriteAheadLog::ReadAll(const std::string& path,
-                              std::vector<WalRecord>* out) {
+                              std::vector<WalRecord>* out,
+                              uint64_t* valid_bytes) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::NotFound("WAL file: " + path);
   std::vector<uint8_t> contents;
@@ -355,31 +362,33 @@ Status WriteAheadLog::ReadAll(const std::string& path,
   std::fclose(f);
 
   ByteReader reader(contents);
+  size_t valid = 0;
   while (!reader.AtEnd()) {
     uint32_t crc, len;
-    size_t frame_start = reader.position();
     if (!reader.GetU32(&crc).ok() || !reader.GetU32(&len).ok() ||
         len > reader.remaining()) {
-      // Torn trailing record: tolerated (crash mid-append).
-      if (frame_start == 0) {
-        return Status::Corruption("WAL header unreadable");
-      }
-      return Status::Ok();
+      break;  // torn trailing unit: a crash mid-append
     }
     std::vector<uint8_t> payload(len);
     HEDC_RETURN_IF_ERROR(reader.GetBytes(payload.data(), len));
     if (Crc32(payload) != crc) {
       // Checksum mismatch at the tail is a torn write; in the middle it is
       // real corruption.
-      if (reader.AtEnd()) return Status::Ok();
+      if (reader.AtEnd()) break;
       return Status::Corruption(
-          StrFormat("WAL record CRC mismatch at offset %zu", frame_start));
+          StrFormat("WAL unit CRC mismatch at offset %zu", valid));
     }
     ByteReader payload_reader(payload);
-    WalRecord record;
-    HEDC_RETURN_IF_ERROR(DecodeRecord(&payload_reader, &record));
-    out->push_back(std::move(record));
+    uint64_t count;
+    HEDC_RETURN_IF_ERROR(payload_reader.GetVarint(&count));
+    for (uint64_t i = 0; i < count; ++i) {
+      WalRecord record;
+      HEDC_RETURN_IF_ERROR(DecodeRecord(&payload_reader, &record));
+      out->push_back(std::move(record));
+    }
+    valid = reader.position();
   }
+  if (valid_bytes != nullptr) *valid_bytes = valid;
   return Status::Ok();
 }
 

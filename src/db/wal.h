@@ -1,15 +1,19 @@
 // Redo log ("database redo logs ... stored on the A1000 with tape backup",
-// §2.3). Append-only file of CRC-framed records; recovery replays them
-// into an empty Database. Records belonging to an explicit transaction are
-// buffered and only flushed at COMMIT, so an interrupted transaction never
-// reaches the log.
+// §2.3). Append-only file of CRC-framed durable units; recovery replays
+// them into an empty Database.
+//
+// One frame per durable unit: [u32 crc][u32 len][payload], where the
+// payload is a record count followed by the records. A unit is Database's
+// atomic write unit (one statement, or the statements of one
+// ExecuteAtomically call), so a crash that tears a unit loses all of it:
+// recovery returns whole units only.
 //
 // Durability is group-committed: concurrent appenders enqueue encoded
 // frames and one of them (the leader) drains the queue with a single
 // buffered write + fflush + fsync, then wakes the followers. Append()
-// returns only once the record is durable (or the log hit an I/O error,
-// which is sticky). The on-disk format is unchanged: a batch is just
-// consecutive frames, so recovery needs no batch awareness.
+// returns only once the unit is durable, or with the log's I/O error.
+// Errors are sticky: once the log fails, every later append fails with
+// the same status, and the failed group's bytes are cut from the file.
 #ifndef HEDC_DB_WAL_H_
 #define HEDC_DB_WAL_H_
 
@@ -66,25 +70,27 @@ class WriteAheadLog {
   Status Open(const std::string& path);
   // Waits for in-flight appends to drain, then closes the file.
   void Close();
-  bool is_open() const;
 
-  // Appends one record; returns once it is durable (fsync'ed).
-  Status Append(const WalRecord& record);
+  // Appends one record as a unit of one; returns once it is durable
+  // (fsync'ed).
+  [[nodiscard]] Status Append(const WalRecord& record);
 
-  // Appends `records` as one durable unit: the frames are written
-  // back-to-back under a single flush+fsync (the COMMIT fast path).
-  Status AppendBatch(const std::vector<WalRecord>& records);
+  // Appends `records` as one durable unit (one frame): recovery sees all
+  // of them or none.
+  [[nodiscard]] Status AppendBatch(const std::vector<WalRecord>& records);
 
-  // Reads every valid record from `path`. Stops cleanly at the first torn
-  // record (partial trailing write) but fails on mid-file corruption.
-  static Status ReadAll(const std::string& path,
-                        std::vector<WalRecord>* out);
+  // Reads the records of every whole unit in `path`. Stops cleanly at a
+  // torn trailing unit (partial write; a torn first unit reads as an
+  // empty log) but fails on mid-file corruption. `valid_bytes`, if
+  // non-null, receives the length of the whole-unit prefix.
+  static Status ReadAll(const std::string& path, std::vector<WalRecord>* out,
+                        uint64_t* valid_bytes = nullptr);
 
   static void EncodeRecord(const WalRecord& record, ByteBuffer* out);
   static Status DecodeRecord(ByteReader* in, WalRecord* out);
 
  private:
-  // One enqueued durable unit: `bytes` holds whole frames.
+  // One enqueued durable unit: `bytes` holds its frame.
   struct PendingUnit {
     std::string bytes;
     size_t records = 0;
@@ -96,12 +102,13 @@ class WriteAheadLog {
 
   Status EnqueueAndWait(std::string bytes, size_t records);
   // Called with mu_ held and leader_active_ set; writes `batch` to disk,
-  // fsyncs, and returns the I/O status. Drops mu_ for the I/O.
+  // fsyncs, and returns the I/O status (cutting the batch from the file
+  // on failure). Drops mu_ for the I/O.
   Status WriteBatch(std::unique_lock<std::mutex>* lock,
                     std::vector<PendingUnit> batch);
 
   std::FILE* file_ = nullptr;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<PendingUnit> queue_;
   uint64_t enqueued_units_ = 0;

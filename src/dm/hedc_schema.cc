@@ -33,9 +33,12 @@ Status CreateGenericSchema(db::Database* db) {
 
       "CREATE TABLE IF NOT EXISTS clients ("
       "client_id INT PRIMARY KEY, client_type TEXT, ip TEXT, status TEXT)",
+      "CREATE INDEX clients_by_id ON clients (client_id) USING HASH",
 
       "CREATE TABLE IF NOT EXISTS predefined_queries ("
       "query_id INT PRIMARY KEY, name TEXT, description TEXT, sql TEXT)",
+      "CREATE INDEX predefined_queries_by_id ON predefined_queries "
+      "(query_id) USING HASH",
 
       "CREATE TABLE IF NOT EXISTS config_params ("
       "param_key TEXT NOT NULL, param_value TEXT)",
@@ -45,31 +48,40 @@ Status CreateGenericSchema(db::Database* db) {
       "CREATE TABLE IF NOT EXISTS op_logs ("
       "log_id INT PRIMARY KEY, log_time REAL, level TEXT, component TEXT, "
       "message TEXT)",
+      "CREATE INDEX op_logs_by_id ON op_logs (log_id) USING HASH",
 
       "CREATE TABLE IF NOT EXISTS lineage ("
       "lineage_id INT PRIMARY KEY, item_id INT, source_item_id INT, "
       "operation TEXT, calibration_version INT, parameters TEXT)",
+      "CREATE INDEX lineage_by_id ON lineage (lineage_id) USING HASH",
       "CREATE INDEX lineage_by_item ON lineage (item_id) USING HASH",
 
       "CREATE TABLE IF NOT EXISTS archive_status ("
       "archive_id INT PRIMARY KEY, online BOOL, capacity_left INT, "
       "archive_type TEXT)",
+      "CREATE INDEX archive_status_by_id ON archive_status (archive_id) "
+      "USING HASH",
 
       "CREATE TABLE IF NOT EXISTS usage_stats ("
       "stat_id INT PRIMARY KEY, stat_time REAL, user_id INT, "
       "operation TEXT, duration_ms REAL)",
+      "CREATE INDEX usage_stats_by_id ON usage_stats (stat_id) USING HASH",
 
       // Mirrored metrics: the latest MetricsRegistry snapshot, one row per
       // counter/gauge/histogram facet (see DataManager::MirrorMetrics).
       "CREATE TABLE IF NOT EXISTS metric_snapshots ("
       "snap_id INT PRIMARY KEY, snap_time REAL, metric TEXT, kind TEXT, "
       "value REAL)",
+      "CREATE INDEX metric_snapshots_by_id ON metric_snapshots (snap_id) "
+      "USING HASH",
 
       // Drained trace spans: one row per completed span of a traced
       // request, queryable by trace id.
       "CREATE TABLE IF NOT EXISTS request_traces ("
       "trace_row_id INT PRIMARY KEY, trace_id INT, component TEXT, "
       "span TEXT, start_us INT, end_us INT, note TEXT)",
+      "CREATE INDEX traces_by_row_id ON request_traces (trace_row_id) "
+      "USING HASH",
       "CREATE INDEX traces_by_id ON request_traces (trace_id) USING HASH",
 
       // Derived-product cache directory (pl::ProductCache): one row per
@@ -138,6 +150,7 @@ Status CreateRhessiSchema(db::Database* db) {
       "CREATE TABLE IF NOT EXISTS catalog_members ("
       "member_id INT PRIMARY KEY, catalog_id INT NOT NULL, "
       "hle_id INT NOT NULL)",
+      "CREATE INDEX members_by_id ON catalog_members (member_id) USING HASH",
       "CREATE INDEX members_by_catalog ON catalog_members (catalog_id) "
       "USING HASH",
       "CREATE INDEX members_by_hle ON catalog_members (hle_id) USING HASH",

@@ -266,42 +266,31 @@ Result<int64_t> SemanticLayer::CreateAna(const Session& session,
     record.param_hash = HashParams(record.routine, record.parameters);
   }
   // Entity transaction (§4.4): the ANA tuple and its lineage record
-  // commit together.
-  db::Database* target = io_->DatabaseFor("ana");
-  HEDC_RETURN_IF_ERROR(target->Begin());
-  Result<db::ResultSet> ins = target->Execute(
-      "INSERT INTO ana VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, "
-      "?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-      {db::Value::Int(record.ana_id), db::Value::Int(record.hle_id),
-       db::Value::Int(record.owner_id), db::Value::Bool(record.is_public),
-       db::Value::Text(record.routine), db::Value::Text(record.parameters),
-       db::Value::Int(record.param_hash), db::Value::Text(record.status),
-       db::Value::Real(record.quality), db::Value::Real(record.t_start),
-       db::Value::Real(record.t_end), db::Value::Real(record.e_min),
-       db::Value::Real(record.e_max), db::Value::Int(record.photon_count),
-       db::Value::Int(record.image_bytes),
-       db::Value::Text(record.log_excerpt),
-       db::Value::Int(record.calibration_version),
-       db::Value::Int(record.version), db::Value::Int(record.superseded_by),
-       db::Value::Real(record.created_time),
-       db::Value::Real(record.duration_ms),
-       db::Value::Real(record.peak_value), db::Value::Int(record.pixels),
-       db::Value::Text(record.notes)});
-  if (!ins.ok()) {
-    target->Rollback();
-    return ins.status();
-  }
-  Result<db::ResultSet> lin = target->Execute(
-      "INSERT INTO lineage VALUES (?, ?, ?, ?, ?, ?)",
-      {db::Value::Int(lineage_ids_.Next()), db::Value::Int(record.ana_id),
-       db::Value::Int(record.hle_id), db::Value::Text(record.routine),
-       db::Value::Int(record.calibration_version),
-       db::Value::Text(record.parameters)});
-  if (!lin.ok()) {
-    target->Rollback();
-    return lin.status();
-  }
-  HEDC_RETURN_IF_ERROR(target->Commit());
+  // commit together, as one atomic unit.
+  HEDC_RETURN_IF_ERROR(io_->DatabaseFor("ana")->ExecuteAtomically({
+      {"INSERT INTO ana VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, "
+       "?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+       {db::Value::Int(record.ana_id), db::Value::Int(record.hle_id),
+        db::Value::Int(record.owner_id), db::Value::Bool(record.is_public),
+        db::Value::Text(record.routine), db::Value::Text(record.parameters),
+        db::Value::Int(record.param_hash), db::Value::Text(record.status),
+        db::Value::Real(record.quality), db::Value::Real(record.t_start),
+        db::Value::Real(record.t_end), db::Value::Real(record.e_min),
+        db::Value::Real(record.e_max), db::Value::Int(record.photon_count),
+        db::Value::Int(record.image_bytes),
+        db::Value::Text(record.log_excerpt),
+        db::Value::Int(record.calibration_version),
+        db::Value::Int(record.version), db::Value::Int(record.superseded_by),
+        db::Value::Real(record.created_time),
+        db::Value::Real(record.duration_ms),
+        db::Value::Real(record.peak_value), db::Value::Int(record.pixels),
+        db::Value::Text(record.notes)}},
+      {"INSERT INTO lineage VALUES (?, ?, ?, ?, ?, ?)",
+       {db::Value::Int(lineage_ids_.Next()), db::Value::Int(record.ana_id),
+        db::Value::Int(record.hle_id), db::Value::Text(record.routine),
+        db::Value::Int(record.calibration_version),
+        db::Value::Text(record.parameters)}},
+  }));
   (void)hle;
   return record.ana_id;
 }

@@ -104,7 +104,8 @@ class SemanticLayer {
                                HleRecord new_record);
 
   // --- ANA -----------------------------------------------------------
-  // Inserts the analysis tuple and its lineage record in one transaction.
+  // Inserts the analysis tuple and its lineage record as one atomic unit
+  // (Database::ExecuteAtomically): both commit, or neither does.
   Result<int64_t> CreateAna(const Session& session, AnaRecord record);
   Result<AnaRecord> GetAna(const Session& session, int64_t ana_id);
   Result<std::vector<AnaRecord>> ListAnalyses(const Session& session,

@@ -455,7 +455,13 @@ void Frontend::ServeCached(Slot* slot, ProductCache::CachedProduct cached) {
 
 RequestOutcome Frontend::Wait(int64_t request_id) {
   std::unique_lock<std::mutex> lock(mu_);
-  auto it = slots_.find(request_id);
+  // Look the slot up on every wake-up: a concurrent Wait on the same id
+  // may have taken it.
+  auto it = slots_.end();
+  done_cv_.wait(lock, [&] {
+    it = slots_.find(request_id);
+    return it == slots_.end() || it->second->outcome.terminal;
+  });
   if (it == slots_.end()) {
     RequestOutcome outcome;
     outcome.state = RequestState::kFailed;
@@ -463,9 +469,11 @@ RequestOutcome Frontend::Wait(int64_t request_id) {
         StrFormat("request %lld", static_cast<long long>(request_id)));
     return outcome;
   }
-  Slot* slot = it->second.get();
-  done_cv_.wait(lock, [slot] { return slot->outcome.terminal; });
-  return slot->outcome;
+  // The request is finished: hand its outcome over and drop the slot
+  // (photons and product included).
+  RequestOutcome outcome = std::move(it->second->outcome);
+  slots_.erase(it);
+  return outcome;
 }
 
 Status Frontend::Cancel(int64_t request_id) {

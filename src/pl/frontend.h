@@ -140,7 +140,9 @@ class Frontend {
   // request id.
   Result<int64_t> Submit(ProcessingRequest request);
 
-  // Blocks until the request reaches a terminal state.
+  // Blocks until the request reaches a terminal state, then hands over
+  // its outcome and forgets the request: a second Wait (or a GetState or
+  // Cancel) on the same id returns NotFound.
   RequestOutcome Wait(int64_t request_id);
 
   // Cancels a queued request (an executing one completes its phase and

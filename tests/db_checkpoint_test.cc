@@ -119,17 +119,6 @@ TEST_F(CheckpointTest, CorruptSnapshotDetected) {
             StatusCode::kCorruption);
 }
 
-TEST_F(CheckpointTest, CheckpointRefusedDuringTransaction) {
-  Database db;
-  ASSERT_TRUE(db.OpenWal(Wal()).ok());
-  Populate(&db, 3);
-  ASSERT_TRUE(db.Begin().ok());
-  EXPECT_EQ(Checkpoint(&db, Snapshot(), Wal()).code(),
-            StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(db.Rollback().ok());
-  EXPECT_TRUE(Checkpoint(&db, Snapshot(), Wal()).ok());
-}
-
 TEST_F(CheckpointTest, ResetWalRequiresOpenWal) {
   Database db;
   EXPECT_EQ(db.ResetWal(Wal()).code(), StatusCode::kFailedPrecondition);

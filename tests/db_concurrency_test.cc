@@ -181,8 +181,10 @@ TEST_F(DbConcurrencyTest, GroupCommitDurableAndOrderedStress) {
   EXPECT_EQ(inserts, kThreads * kPerThread);
 }
 
-// A transaction spanning several tables takes their latches in sorted
-// order on rollback; concurrent single-table writers keep running.
+// Atomic units spanning two tables, half of which fail in their second
+// statement, run beside an autocommit writer on a third table: failed
+// units leave nothing behind, and undoing them never touches another
+// thread's acknowledged writes, live or after recovery.
 TEST_F(DbConcurrencyTest, MultiTableTransactionRollbackStress) {
   Database db;
   ASSERT_TRUE(db.OpenWal(WalPath()).ok());
@@ -192,35 +194,66 @@ TEST_F(DbConcurrencyTest, MultiTableTransactionRollbackStress) {
                     .ok());
   }
   std::atomic<bool> stop{false};
-  std::thread writer([&db, &stop] {
+  std::atomic<int> acked{0};
+  std::thread writer([&db, &stop, &acked] {
     for (int i = 1; !stop.load(); ++i) {
       ASSERT_TRUE(
           db.Execute("INSERT INTO tc VALUES (?)", {Value::Int(i)}).ok());
+      acked.store(i);
     }
   });
   for (int round = 0; round < 50; ++round) {
-    ASSERT_TRUE(db.Begin().ok());
-    ASSERT_TRUE(db.Execute("INSERT INTO ta VALUES (?)",
-                           {Value::Int(round + 1)})
-                    .ok());
-    ASSERT_TRUE(db.Execute("INSERT INTO tb VALUES (?)",
-                           {Value::Int(round + 1)})
-                    .ok());
-    if (round % 2 == 0) {
-      ASSERT_TRUE(db.Rollback().ok());
+    // A failing unit's second statement repeats its key in its second
+    // row, after the first statement and the first row have applied.
+    const bool fail = round % 2 == 0;
+    const Value key = Value::Int(round + 1);
+    Status s = db.ExecuteAtomically(
+        {{"INSERT INTO ta VALUES (?)", {key}},
+         fail ? BoundSql{"INSERT INTO tb VALUES (?), (?)", {key, key}}
+              : BoundSql{"INSERT INTO tb VALUES (?)", {key}}});
+    if (fail) {
+      ASSERT_EQ(s.code(), StatusCode::kAlreadyExists) << s.ToString();
     } else {
-      ASSERT_TRUE(db.Commit().ok());
+      ASSERT_TRUE(s.ok()) << s.ToString();
     }
   }
   stop.store(true);
   writer.join();
-  EXPECT_EQ(CountRows(&db, "ta"), 25);
-  EXPECT_EQ(CountRows(&db, "tb"), 25);
+  auto check = [&acked](Database* d) {
+    EXPECT_EQ(CountRows(d, "ta"), 25);
+    EXPECT_EQ(CountRows(d, "tb"), 25);
+    // Every acknowledged tc insert is present (ids 1..acked, no gaps).
+    EXPECT_EQ(CountRows(d, "tc"), acked.load());
+    auto top = d->Execute("SELECT MAX(id) AS m FROM tc");
+    ASSERT_TRUE(top.ok());
+    EXPECT_EQ(top.value().Get(0, "m").AsInt(), acked.load());
+  };
+  check(&db);
 
   Database recovered;
   ASSERT_TRUE(recovered.OpenWal(WalPath()).ok());
-  EXPECT_EQ(CountRows(&recovered, "ta"), 25);
-  EXPECT_EQ(CountRows(&recovered, "tb"), 25);
+  check(&recovered);
+}
+
+// A multi-row INSERT whose second row violates the primary key fails as
+// a whole: no row stays, and nothing reaches the log.
+TEST_F(DbConcurrencyTest, MultiRowStatementIsAtomicStress) {
+  Database db;
+  ASSERT_TRUE(db.OpenWal(WalPath()).ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE p (id INT PRIMARY KEY)").ok());
+  std::vector<WalRecord> before;
+  ASSERT_TRUE(WriteAheadLog::ReadAll(WalPath(), &before).ok());
+
+  auto r = db.Execute("INSERT INTO p VALUES (1), (1)");
+  EXPECT_EQ(r.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(CountRows(&db, "p"), 0);
+  std::vector<WalRecord> after;
+  ASSERT_TRUE(WriteAheadLog::ReadAll(WalPath(), &after).ok());
+  EXPECT_EQ(after.size(), before.size());
+
+  // The key is free again: the undone row left no index entry behind.
+  ASSERT_TRUE(db.Execute("INSERT INTO p VALUES (1), (2)").ok());
+  EXPECT_EQ(CountRows(&db, "p"), 2);
 }
 
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)

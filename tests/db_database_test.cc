@@ -256,22 +256,28 @@ TEST_F(DatabaseTest, UnknownTableAndColumnErrors) {
 }
 
 TEST_F(DatabaseTest, TransactionCommit) {
-  ASSERT_TRUE(db_.Begin().ok());
-  ASSERT_TRUE(
-      db_.Execute("INSERT INTO hle VALUES (500, 1, 1, 'x', 'y', FALSE)").ok());
-  ASSERT_TRUE(db_.Commit().ok());
-  auto r = db_.Execute("SELECT COUNT(*) FROM hle WHERE hle_id = 500");
-  EXPECT_EQ(r.value().rows[0][0].AsInt(), 1);
+  ASSERT_TRUE(db_.ExecuteAtomically(
+                     {{"INSERT INTO hle VALUES (500, 1, 1, 'x', 'y', FALSE)",
+                       {}},
+                      {"UPDATE hle SET owner = ? WHERE hle_id = ?",
+                       {Value::Text("carol"), Value::Int(500)}},
+                      {"DELETE FROM hle WHERE hle_id = 3", {}}})
+                  .ok());
+  EXPECT_EQ(db_.Execute("SELECT owner FROM hle WHERE hle_id = 500")
+                .value().rows[0][0].AsText(), "carol");
+  EXPECT_EQ(db_.Execute("SELECT COUNT(*) FROM hle WHERE hle_id = 3")
+                .value().rows[0][0].AsInt(), 0);
+  EXPECT_EQ(db_.stats().updates.load(), 100 + 3);
 }
 
 TEST_F(DatabaseTest, TransactionRollbackUndoesAllOps) {
-  ASSERT_TRUE(db_.Begin().ok());
-  ASSERT_TRUE(
-      db_.Execute("INSERT INTO hle VALUES (600, 1, 1, 'x', 'y', FALSE)").ok());
-  ASSERT_TRUE(
-      db_.Execute("UPDATE hle SET owner = 'mallory' WHERE hle_id = 1").ok());
-  ASSERT_TRUE(db_.Execute("DELETE FROM hle WHERE hle_id = 2").ok());
-  ASSERT_TRUE(db_.Rollback().ok());
+  // The last statement fails (duplicate key), so the whole unit is undone.
+  Status s = db_.ExecuteAtomically(
+      {{"INSERT INTO hle VALUES (600, 1, 1, 'x', 'y', FALSE)", {}},
+       {"UPDATE hle SET owner = 'mallory' WHERE hle_id = 1", {}},
+       {"DELETE FROM hle WHERE hle_id = 2", {}},
+       {"INSERT INTO hle VALUES (7, 0, 0, 'x', 'y', FALSE)", {}}});
+  EXPECT_EQ(s.code(), StatusCode::kAlreadyExists) << s.ToString();
 
   EXPECT_EQ(db_.Execute("SELECT COUNT(*) FROM hle WHERE hle_id = 600")
                 .value().rows[0][0].AsInt(), 0);
@@ -279,20 +285,31 @@ TEST_F(DatabaseTest, TransactionRollbackUndoesAllOps) {
                 .value().rows[0][0].AsText(), "bob");
   EXPECT_EQ(db_.Execute("SELECT COUNT(*) FROM hle WHERE hle_id = 2")
                 .value().rows[0][0].AsInt(), 1);
+  EXPECT_EQ(db_.Execute("SELECT COUNT(*) FROM hle").value().rows[0][0].AsInt(),
+            100);
   // Indexes must also be restored.
   EXPECT_EQ(db_.Execute("SELECT COUNT(*) FROM hle WHERE start_time = 20")
                 .value().rows[0][0].AsInt(), 1);
+  EXPECT_EQ(db_.Execute("SELECT COUNT(*) FROM hle WHERE hle_id = 600")
+                .value().rows[0][0].AsInt(), 0);
+  EXPECT_EQ(db_.Execute("SELECT COUNT(*) FROM hle WHERE owner = 'mallory'")
+                .value().rows[0][0].AsInt(), 0);
 }
 
-TEST_F(DatabaseTest, NestedBeginFails) {
-  ASSERT_TRUE(db_.Begin().ok());
-  EXPECT_FALSE(db_.Begin().ok());
-  ASSERT_TRUE(db_.Rollback().ok());
-}
-
-TEST_F(DatabaseTest, CommitWithoutBeginFails) {
-  EXPECT_FALSE(db_.Commit().ok());
-  EXPECT_FALSE(db_.Rollback().ok());
+TEST_F(DatabaseTest, ExecuteAtomicallyAcceptsOnlyDml) {
+  for (const char* sql : {"SELECT * FROM hle", "CREATE TABLE t2 (a INT)",
+                          "CREATE INDEX i ON hle (owner)", "DROP TABLE hle"}) {
+    Status s = db_.ExecuteAtomically(
+        {{"INSERT INTO hle VALUES (700, 1, 1, 'x', 'y', FALSE)", {}},
+         {sql, {}}});
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << sql;
+  }
+  // Nothing ran: the insert before the rejected statement is absent and
+  // the catalog is unchanged.
+  EXPECT_EQ(db_.Execute("SELECT COUNT(*) FROM hle WHERE hle_id = 700")
+                .value().rows[0][0].AsInt(), 0);
+  EXPECT_EQ(db_.TableNames(), std::vector<std::string>{"hle"});
+  EXPECT_TRUE(db_.ExecuteAtomically({}).ok());
 }
 
 TEST_F(DatabaseTest, ConcurrentReadersAreSafe) {

@@ -1,6 +1,9 @@
 // WAL encoding, durability and recovery tests.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <thread>
@@ -91,24 +94,31 @@ TEST_F(WalTest, DatabaseSurvivesRestart) {
             2);
 }
 
+// A failed unit (its second statement hits a duplicate key) is undone in
+// memory and never reaches the log.
 TEST_F(WalTest, RolledBackTransactionNotRecovered) {
   {
     Database db;
     ASSERT_TRUE(db.OpenWal(WalPath()).ok());
-    ASSERT_TRUE(db.Execute("CREATE TABLE t (a INT)").ok());
-    ASSERT_TRUE(db.Begin().ok());
-    ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1)").ok());
-    ASSERT_TRUE(db.Rollback().ok());
-    ASSERT_TRUE(db.Begin().ok());
-    ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (2)").ok());
-    ASSERT_TRUE(db.Commit().ok());
+    ASSERT_TRUE(db.Execute("CREATE TABLE t (a INT PRIMARY KEY)").ok());
+    EXPECT_EQ(db.ExecuteAtomically({{"INSERT INTO t VALUES (1)", {}},
+                                    {"INSERT INTO t VALUES (1)", {}}})
+                  .code(),
+              StatusCode::kAlreadyExists);
+    ASSERT_TRUE(db.ExecuteAtomically({{"INSERT INTO t VALUES (2)", {}},
+                                      {"INSERT INTO t VALUES (3)", {}}})
+                    .ok());
   }
+  std::vector<WalRecord> records;
+  ASSERT_TRUE(WriteAheadLog::ReadAll(WalPath(), &records).ok());
+  EXPECT_EQ(records.size(), 3u);  // CREATE TABLE + the committed unit
   Database db2;
   ASSERT_TRUE(db2.OpenWal(WalPath()).ok());
   auto r = db2.Execute("SELECT a FROM t");
   ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r.value().num_rows(), 1u);
+  ASSERT_EQ(r.value().num_rows(), 2u);
   EXPECT_EQ(r.value().rows[0][0].AsInt(), 2);
+  EXPECT_EQ(r.value().rows[1][0].AsInt(), 3);
 }
 
 TEST_F(WalTest, TornTailIsTolerated) {
@@ -126,11 +136,20 @@ TEST_F(WalTest, TornTailIsTolerated) {
     std::fwrite(garbage, 1, sizeof(garbage), f);
     std::fclose(f);
   }
-  Database db2;
-  ASSERT_TRUE(db2.OpenWal(WalPath()).ok());
-  auto r = db2.Execute("SELECT COUNT(*) FROM t");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().rows[0][0].AsInt(), 1);
+  {
+    Database db2;
+    ASSERT_TRUE(db2.OpenWal(WalPath()).ok());
+    auto r = db2.Execute("SELECT COUNT(*) FROM t");
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value().rows[0][0].AsInt(), 1);
+    // Reopening cut the torn tail, so this unit is not appended behind
+    // the garbage (where the next recovery would drop it).
+    ASSERT_TRUE(db2.Execute("INSERT INTO t VALUES (2)").ok());
+  }
+  Database db3;
+  ASSERT_TRUE(db3.OpenWal(WalPath()).ok());
+  EXPECT_EQ(db3.Execute("SELECT COUNT(*) FROM t").value().rows[0][0].AsInt(),
+            2);
 }
 
 TEST_F(WalTest, MidFileCorruptionDetected) {
@@ -198,34 +217,101 @@ TEST_F(WalTest, ConcurrentAppendsAllDurableStress) {
 }
 
 TEST_F(WalTest, AppendBatchIsOneUnitAndTornBatchTailTolerated) {
-  // A batch's frames are contiguous; truncating mid-frame loses only the
-  // torn tail, never a preceding complete record.
-  std::vector<WalRecord> batch;
-  for (int i = 1; i <= 3; ++i) {
+  // A unit is one frame: truncating the log anywhere inside a unit loses
+  // that whole unit and nothing before it.
+  auto make = [](int64_t row_id) {
     WalRecord rec;
     rec.op = WalOp::kInsert;
     rec.table = "b";
-    rec.row_id = i;
-    rec.row = {Value::Int(i)};
-    batch.push_back(rec);
-  }
+    rec.row_id = row_id;
+    rec.row = {Value::Int(row_id)};
+    return rec;
+  };
+  uint64_t first_end = 0;
   {
     WriteAheadLog wal;
     ASSERT_TRUE(wal.Open(WalPath()).ok());
-    ASSERT_TRUE(wal.AppendBatch(batch).ok());
+    ASSERT_TRUE(wal.AppendBatch({make(1)}).ok());
+    wal.Close();
+    first_end = std::filesystem::file_size(WalPath());
+    ASSERT_TRUE(wal.Open(WalPath()).ok());
+    ASSERT_TRUE(wal.AppendBatch({make(2), make(3), make(4)}).ok());
     wal.Close();
   }
+  const uint64_t size = std::filesystem::file_size(WalPath());
   std::vector<WalRecord> records;
-  ASSERT_TRUE(WriteAheadLog::ReadAll(WalPath(), &records).ok());
-  ASSERT_EQ(records.size(), 3u);
+  uint64_t valid = 0;
+  ASSERT_TRUE(WriteAheadLog::ReadAll(WalPath(), &records, &valid).ok());
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(valid, size);
 
-  // Chop off the last 5 bytes, tearing the batch's final frame.
-  auto size = std::filesystem::file_size(WalPath());
-  std::filesystem::resize_file(WalPath(), size - 5);
-  records.clear();
-  ASSERT_TRUE(WriteAheadLog::ReadAll(WalPath(), &records).ok());
-  EXPECT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[1].row_id, 2);
+  const std::string full = (dir_ / "full.wal").string();
+  std::filesystem::copy_file(WalPath(), full);
+  for (uint64_t cut = first_end; cut < size; ++cut) {
+    std::filesystem::copy_file(
+        full, WalPath(), std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::resize_file(WalPath(), cut);
+    records.clear();
+    Status s = WriteAheadLog::ReadAll(WalPath(), &records, &valid);
+    ASSERT_TRUE(s.ok()) << "cut at " << cut << ": " << s.ToString();
+    ASSERT_EQ(records.size(), 1u) << "cut at " << cut;
+    EXPECT_EQ(records[0].row_id, 1);
+    EXPECT_EQ(valid, first_end);
+  }
+  // A lone first unit torn anywhere reads as an empty log, so a database
+  // that died during its first append can reopen.
+  for (uint64_t cut = 0; cut < first_end; ++cut) {
+    std::filesystem::copy_file(
+        full, WalPath(), std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::resize_file(WalPath(), cut);
+    records.clear();
+    Status s = WriteAheadLog::ReadAll(WalPath(), &records, &valid);
+    ASSERT_TRUE(s.ok()) << "cut at " << cut << ": " << s.ToString();
+    EXPECT_TRUE(records.empty()) << "cut at " << cut;
+    EXPECT_EQ(valid, 0u);
+  }
+  Database db;
+  EXPECT_TRUE(db.OpenWal(WalPath()).ok());
+}
+
+// The WAL's write error reaches the writer: with the log's file at the
+// process's file-size limit, a mutation fails and is undone, the error
+// is sticky, DDL reports it too, and reads keep working.
+TEST_F(WalTest, WalWriteFailureFailsTheWrite) {
+  Database db;
+  ASSERT_TRUE(db.OpenWal(WalPath()).ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (a INT PRIMARY KEY)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1)").ok());
+
+  struct rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  void (*saved_handler)(int) = std::signal(SIGXFSZ, SIG_IGN);
+  struct rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(std::filesystem::file_size(WalPath()));
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
+
+  Result<ResultSet> first = db.Execute("INSERT INTO t VALUES (2)");
+  Result<ResultSet> second = db.Execute("INSERT INTO t VALUES (3)");
+  Result<ResultSet> read = db.Execute("SELECT COUNT(*) FROM t");
+  Result<ResultSet> ddl = db.Execute("CREATE TABLE u (a INT)");
+
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, saved_handler);
+
+  EXPECT_FALSE(first.ok());
+  EXPECT_FALSE(second.ok());  // sticky
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value().rows[0][0].AsInt(), 1);  // row 2 is not visible
+  EXPECT_FALSE(ddl.ok());
+  EXPECT_TRUE(db.Execute("SELECT * FROM u").status().IsNotFound());
+  EXPECT_EQ(db.Execute("SELECT COUNT(*) FROM t WHERE a = 2")
+                .value().rows[0][0].AsInt(), 0);
+
+  Database recovered;
+  ASSERT_TRUE(recovered.OpenWal(WalPath()).ok());
+  EXPECT_EQ(
+      recovered.Execute("SELECT COUNT(*) FROM t").value().rows[0][0].AsInt(),
+      1);
 }
 
 TEST_F(WalTest, DropTableRecovered) {

@@ -2,6 +2,10 @@
 // semantic layer, processes, redirection.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <thread>
+#include <vector>
+
 #include "core/clock.h"
 #include "dm/dm.h"
 #include "dm/hedc_schema.h"
@@ -236,6 +240,60 @@ TEST_F(DmTest, AnaCreationWritesLineage) {
   ASSERT_TRUE(sources.ok());
   ASSERT_EQ(sources.value().size(), 1u);
   EXPECT_EQ(sources.value()[0], hle_id);
+}
+
+// Concurrent entity transactions (§4.4) all commit, each with exactly
+// one lineage row.
+TEST_F(DmTest, ConcurrentCreateAnaStress) {
+  HleRecord hle;
+  int64_t hle_id = dm_->semantics().CreateHle(alice_, hle).value();
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 25;
+  std::vector<std::vector<int64_t>> ids(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        AnaRecord ana;
+        ana.hle_id = hle_id;
+        ana.routine = "lightcurve";
+        ana.parameters = "thread=" + std::to_string(t);
+        Result<int64_t> id = dm_->semantics().CreateAna(alice_, ana);
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        ids[t].push_back(id.value());
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  auto count = [this](const std::string& sql, int64_t arg) {
+    return db_.Execute(sql, {db::Value::Int(arg)}).value().rows[0][0].AsInt();
+  };
+  EXPECT_EQ(count("SELECT COUNT(*) FROM ana WHERE hle_id = ?", hle_id),
+            kThreads * kPerThread);
+  for (const std::vector<int64_t>& thread_ids : ids) {
+    ASSERT_EQ(thread_ids.size(), static_cast<size_t>(kPerThread));
+    for (int64_t ana_id : thread_ids) {
+      EXPECT_EQ(count("SELECT COUNT(*) FROM lineage WHERE item_id = ?",
+                      ana_id),
+                1)
+          << "ana " << ana_id;
+    }
+  }
+}
+
+// Every PRIMARY KEY the program declares has an index, so the uniqueness
+// check on insert is a lookup rather than a scan of the table.
+TEST_F(DmTest, EveryPrimaryKeyIsIndexed) {
+  int checked = 0;
+  for (const std::string& name : db_.TableNames()) {
+    const db::Table* table = db_.GetTable(name);
+    std::optional<size_t> pk = table->schema().PrimaryKeyIndex();
+    if (!pk.has_value()) continue;
+    ++checked;
+    EXPECT_NE(table->FindIndex(*pk, /*need_range=*/false), nullptr)
+        << name << "." << table->schema().column(*pk).name;
+  }
+  EXPECT_GE(checked, 18);
 }
 
 TEST_F(DmTest, FindExistingAnalysisDetectsOverlap) {

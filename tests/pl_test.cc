@@ -2,6 +2,9 @@
 // directory, predictor, 4-phase front end.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "core/clock.h"
 #include "pl/frontend.h"
 #include "pl/idl_server.h"
@@ -143,10 +146,18 @@ TEST_F(PlTest, ManagerAsyncInvocation) {
   ASSERT_TRUE(manager.AddServer(MakeServer("b")).ok());
   analysis::AnalysisParams params;
   params.SetInt("bins", 8);
-  auto f1 = manager.InvokeAsync("histogram", SmallPhotons(), params);
-  auto f2 = manager.InvokeAsync("lightcurve", SmallPhotons(), {});
-  EXPECT_TRUE(f1.get().ok());
-  EXPECT_TRUE(f2.get().ok());
+  const rhessi::PhotonList photons = SmallPhotons();
+  Status s1, s2;
+  std::thread t1([&] {
+    s1 = manager.Invoke("histogram", photons, params).status();
+  });
+  std::thread t2([&] {
+    s2 = manager.Invoke("lightcurve", photons, {}).status();
+  });
+  t1.join();
+  t2.join();
+  EXPECT_TRUE(s1.ok()) << s1.ToString();
+  EXPECT_TRUE(s2.ok()) << s2.ToString();
 }
 
 TEST_F(PlTest, DirectoryTracksOnlineServices) {
@@ -284,6 +295,25 @@ TEST_F(FrontendTest, EstimateReturnsImmediately) {
   EXPECT_GT(estimate.value(), 0);
 }
 
+TEST_F(FrontendTest, WaitReleasesFinishedRequest) {
+  Frontend frontend = MakeFrontend();
+  ProcessingRequest request;
+  request.routine = "lightcurve";
+  request.photons = SmallPhotons();
+  request.skip_commit = true;
+  int64_t id = frontend.Submit(std::move(request)).value();
+  RequestOutcome outcome = frontend.Wait(id);
+  EXPECT_EQ(outcome.state, RequestState::kDelivered);
+  EXPECT_TRUE(outcome.product.series.has_value());
+  // The first Wait took the outcome and dropped the request (photons and
+  // product with it): the id is unknown from then on.
+  RequestOutcome again = frontend.Wait(id);
+  EXPECT_EQ(again.state, RequestState::kFailed);
+  EXPECT_TRUE(again.status.IsNotFound()) << again.status.ToString();
+  EXPECT_TRUE(frontend.GetState(id).status().IsNotFound());
+  EXPECT_TRUE(frontend.Cancel(id).IsNotFound());
+}
+
 TEST_F(FrontendTest, UnknownRequestIdInWaitAndCancel) {
   Frontend frontend = MakeFrontend();
   EXPECT_TRUE(frontend.Cancel(999).IsNotFound());
@@ -293,8 +323,8 @@ TEST_F(FrontendTest, UnknownRequestIdInWaitAndCancel) {
 }
 
 // Fault-injection hammer: many concurrent invocations against seeded
-// crashy interpreters. Every future must be satisfied (success or error)
-// and the retry/restart accounting must balance regardless of scheduling.
+// crashy interpreters. Every call must return (success or error) and the
+// retry/restart accounting must balance regardless of scheduling.
 TEST_F(PlTest, StressFaultInjectionConcurrentInvokes) {
   MetricsRegistry* metrics = MetricsRegistry::Default();
   int64_t attempts0 = metrics->GetCounter("pl.invoke.attempts")->Value();
@@ -304,9 +334,6 @@ TEST_F(PlTest, StressFaultInjectionConcurrentInvokes) {
 
   IdlServerManager::Options options;
   options.max_retries = 6;
-  // Workers <= interpreters guarantees AcquireIdle never comes up empty,
-  // which keeps the attempts == requests + retries invariant exact.
-  options.worker_threads = 3;
   IdlServerManager manager("host0", options);
   uint64_t seed = 11;
   for (const char* name : {"idl0", "idl1", "idl2"}) {
@@ -316,24 +343,30 @@ TEST_F(PlTest, StressFaultInjectionConcurrentInvokes) {
     ASSERT_TRUE(manager.AddServer(MakeServer(name, flaky)).ok());
   }
 
+  // Callers <= interpreters guarantees AcquireIdle never comes up empty,
+  // which keeps the attempts == requests + retries invariant exact.
+  constexpr int kCallers = 3;
   constexpr int kRequests = 40;
-  rhessi::PhotonList photons = SmallPhotons();
-  std::vector<std::future<Result<analysis::AnalysisProduct>>> futures;
-  futures.reserve(kRequests);
-  for (int i = 0; i < kRequests; ++i) {
-    futures.push_back(manager.InvokeAsync("histogram", photons, {}));
+  const rhessi::PhotonList photons = SmallPhotons();
+  std::vector<Status> results(kRequests);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int i = c; i < kRequests; i += kCallers) {
+        results[i] = manager.Invoke("histogram", photons, {}).status();
+      }
+    });
   }
+  for (std::thread& t : callers) t.join();
   int successes = 0;
   int failures = 0;
-  for (auto& future : futures) {
-    Result<analysis::AnalysisProduct> result = future.get();
+  for (const Status& result : results) {
     if (result.ok()) {
       ++successes;
     } else {
       ++failures;
       // Crash faults surface as kUnavailable after retries are exhausted.
-      EXPECT_TRUE(result.status().IsUnavailable())
-          << result.status().ToString();
+      EXPECT_TRUE(result.IsUnavailable()) << result.ToString();
     }
   }
   // Every request completed one way or the other.
@@ -347,8 +380,8 @@ TEST_F(PlTest, StressFaultInjectionConcurrentInvokes) {
       metrics->GetCounter("pl.invoke.retries")->Value() - retries0;
   int64_t restarts =
       metrics->GetCounter("pl.interpreter.restarts")->Value() - restarts0;
-  // Each request pays exactly 1 + its retries attempts (3 interpreters at
-  // 4 workers: acquisition never fails outright).
+  // Each request pays exactly 1 + its retries attempts (3 interpreters,
+  // 3 callers: acquisition never fails outright).
   EXPECT_EQ(attempts, kRequests + retries);
   // The manager's own restart count and the process counter agree.
   EXPECT_EQ(restarts, manager.restarts());
