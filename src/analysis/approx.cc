@@ -37,59 +37,4 @@ Result<ApproxAnswer> ApproxSumFromPrefix(const uint8_t* data, size_t size,
   return answer;
 }
 
-ReservoirSampler::ReservoirSampler(size_t capacity, uint64_t seed)
-    : capacity_(std::max<size_t>(capacity, 1)), rng_(seed) {
-  sample_.reserve(capacity_);
-}
-
-void ReservoirSampler::Add(double position, double value) {
-  ++seen_;
-  if (sample_.size() < capacity_) {
-    sample_.emplace_back(position, value);
-    return;
-  }
-  // Vitter's algorithm R: keep each of the `seen_` items with equal
-  // probability capacity / seen.
-  size_t slot = static_cast<size_t>(
-      rng_.UniformInt(0, static_cast<int64_t>(seen_) - 1));
-  if (slot < capacity_) sample_[slot] = {position, value};
-}
-
-template <typename Fn>
-ApproxAnswer ReservoirSampler::Estimate(Fn contribution) const {
-  ApproxAnswer answer;
-  if (sample_.empty()) return answer;
-  double k = static_cast<double>(sample_.size());
-  double total = static_cast<double>(seen_);
-  double sum = 0, sum_sq = 0;
-  for (const auto& item : sample_) {
-    double c = contribution(item);
-    sum += c;
-    sum_sq += c * c;
-  }
-  double mean = sum / k;
-  answer.estimate = mean * total;
-  answer.bins = sample_.size();
-  if (sample_.size() > 1 && seen_ > sample_.size()) {
-    double variance = std::max(0.0, (sum_sq - k * mean * mean) / (k - 1));
-    double fpc = (total - k) / (total - 1);  // finite-population correction
-    double se_mean = std::sqrt(variance / k * fpc);
-    answer.error_bound = 2.0 * total * se_mean;
-  }
-  return answer;
-}
-
-ApproxAnswer ReservoirSampler::EstimateCountInRange(double lo,
-                                                    double hi) const {
-  return Estimate([lo, hi](const std::pair<double, double>& item) {
-    return item.first >= lo && item.first < hi ? 1.0 : 0.0;
-  });
-}
-
-ApproxAnswer ReservoirSampler::EstimateSumInRange(double lo, double hi) const {
-  return Estimate([lo, hi](const std::pair<double, double>& item) {
-    return item.first >= lo && item.first < hi ? item.second : 0.0;
-  });
-}
-
 }  // namespace hedc::analysis

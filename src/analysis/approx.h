@@ -2,31 +2,26 @@
 // (§3.4/§6.3: "most questions are answered approximately from small
 // derived summaries rather than raw data").
 //
-// Two estimators:
-//  - ApproxSumFromPrefix: deterministic, from a progressive wavelet
-//    stream prefix. The ± bars come from the dropped-coefficient energy
-//    accounting in the stream header (see PrefixInfo in codec.h), so
-//    |true - estimate| <= error_bound always holds against the original
-//    binned signal.
-//  - ReservoirSampler: probabilistic fallback when no view exists
-//    (Vitter's algorithm R over (position, value) pairs); its bars are
-//    ~95% (two standard errors) with finite-population correction.
+// ApproxSumFromPrefix answers from a progressive wavelet stream prefix.
+// The ± bars come from the dropped-coefficient energy accounting in the
+// stream header (see PrefixInfo in codec.h), so
+// |true - estimate| <= error_bound always holds against the original
+// binned signal.
 #ifndef HEDC_ANALYSIS_APPROX_H_
 #define HEDC_ANALYSIS_APPROX_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "core/rng.h"
 #include "core/status.h"
 
 namespace hedc::analysis {
 
 struct ApproxAnswer {
   double estimate = 0;
-  double error_bound = 0;  // deterministic, or ~2 sigma for sampling
-  size_t bins = 0;         // bins (or sample items) contributing
-  size_t bytes_read = 0;   // encoded bytes consumed (prefix estimators)
+  double error_bound = 0;  // deterministic; 0 for an exact answer
+  size_t bins = 0;         // bins (or photons, when exact) contributing
+  size_t bytes_read = 0;   // encoded bytes consumed
 };
 
 // Sum of the binned signal over the half-open domain fraction
@@ -38,35 +33,6 @@ struct ApproxAnswer {
 Result<ApproxAnswer> ApproxSumFromPrefix(const uint8_t* data, size_t size,
                                          double range_lo_frac,
                                          double range_hi_frac);
-
-// Uniform reservoir over (position, value) pairs, Vitter's algorithm R:
-// the first `capacity` items fill the reservoir, item i > capacity
-// replaces a random slot with probability capacity / (i + 1).
-class ReservoirSampler {
- public:
-  ReservoirSampler(size_t capacity, uint64_t seed);
-
-  void Add(double position, double value);
-
-  size_t seen() const { return seen_; }
-  size_t size() const { return sample_.size(); }
-
-  // Estimated number of items with position in [lo, hi).
-  ApproxAnswer EstimateCountInRange(double lo, double hi) const;
-  // Estimated sum of `value` over items with position in [lo, hi).
-  ApproxAnswer EstimateSumInRange(double lo, double hi) const;
-
- private:
-  // Scaled mean of f(item) over the population with a 2-standard-error
-  // bar (finite-population corrected).
-  template <typename Fn>
-  ApproxAnswer Estimate(Fn contribution) const;
-
-  size_t capacity_;
-  Rng rng_;
-  size_t seen_ = 0;
-  std::vector<std::pair<double, double>> sample_;  // (position, value)
-};
 
 }  // namespace hedc::analysis
 

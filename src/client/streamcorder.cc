@@ -255,9 +255,13 @@ Result<int64_t> StreamCorder::UploadResult(
 Status StreamCorder::MirrorHle(int64_t hle_id) {
   HEDC_ASSIGN_OR_RETURN(dm::HleRecord record,
                         server_->semantics().GetHle(server_session_, hle_id));
-  // Insert into the local clone with the same id (clone semantics): go
-  // through the local semantic layer only if ids match; here we write the
-  // tuple directly to preserve the id.
+  return WriteLocalHle(record);
+}
+
+Status StreamCorder::WriteLocalHle(const dm::HleRecord& record) {
+  // Insert into the local clone with the same id (clone semantics): the
+  // tuple is written directly, since the local semantic layer would
+  // assign a new id.
   HEDC_ASSIGN_OR_RETURN(
       db::ResultSet r,
       local_db_->Execute(
@@ -291,7 +295,7 @@ Result<int64_t> StreamCorder::MirrorRepository() {
   int64_t mirrored = 0;
   for (const dm::HleRecord& hle : hles) {
     if (LocalHle(hle.hle_id).ok()) continue;  // already mirrored
-    HEDC_RETURN_IF_ERROR(MirrorHle(hle.hle_id));
+    HEDC_RETURN_IF_ERROR(WriteLocalHle(hle));
     ++mirrored;
   }
   // 2. Raw-unit tuples and their files (cached locally, so analysis

@@ -133,6 +133,8 @@ class StreamCorder {
   // Resolves a unit's calibration version from the local mirror or the
   // server tuple (-1 if neither knows the unit).
   int ResolveCalibrationVersion(int64_t unit_id);
+  // Writes `record` into the local clone under its server id.
+  Status WriteLocalHle(const dm::HleRecord& record);
 
   dm::DataManager* server_;
   dm::Session server_session_;

@@ -5,6 +5,7 @@
 
 #include "core/strings.h"
 #include "db/expr.h"
+#include "db/join.h"
 #include "db/scan_bounds.h"
 #include "db/sql.h"
 #include "db/table.h"
@@ -96,6 +97,8 @@ Result<QueryPlan> ExplainSelect(Database* db, std::string_view sql,
     return plan;
   }
   std::unique_ptr<Expr> where = select.where->Clone();
+  // Like the executor, accept columns qualified by the table's own name.
+  StripQualifiers(where.get(), select.table);
   // Pad parameters so planning never fails on unbound markers.
   std::vector<Value> padded = params;
   padded.resize(static_cast<size_t>(stmt->num_params), Value::Int(0));

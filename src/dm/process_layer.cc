@@ -490,10 +490,8 @@ Result<int64_t> ProcessLayer::GenerateCatalog(const Session& session,
   QuerySpec spec("hle");
   spec.Select("hle_id")
       .Where("event_type", CondOp::kEq, db::Value::Text(event_type))
-      .Where("superseded_by", CondOp::kEq, db::Value::Int(0));
-  if (!session.view_predicate.empty()) {
-    spec.RawPredicate(session.view_predicate);
-  }
+      .Where("superseded_by", CondOp::kEq, db::Value::Int(0))
+      .VisibleTo(session.profile);
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, dm_->io().Query(spec));
   // Skip HLEs already in the catalog (idempotent regeneration).
   HEDC_ASSIGN_OR_RETURN(std::vector<int64_t> members,

@@ -19,6 +19,15 @@ bool IsSafeIdentifier(const std::string& name) {
   return true;
 }
 
+// A column name, optionally qualified by one table: `column` or
+// `table.column`, each part a safe identifier.
+bool IsSafeFieldName(const std::string& name) {
+  const size_t dot = name.find('.');
+  if (dot == std::string::npos) return IsSafeIdentifier(name);
+  return IsSafeIdentifier(name.substr(0, dot)) &&
+         IsSafeIdentifier(name.substr(dot + 1));
+}
+
 const char* OpToSql(CondOp op) {
   switch (op) {
     case CondOp::kEq:
@@ -45,6 +54,12 @@ Result<std::string> QuerySpec::ToSql(std::vector<db::Value>* params) const {
   if (!IsSafeIdentifier(table_)) {
     return Status::InvalidArgument("unsafe table name: " + table_);
   }
+  const bool joined = !join_table_.empty();
+  if (joined &&
+      (!IsSafeIdentifier(join_table_) || !IsSafeIdentifier(join_column_))) {
+    return Status::InvalidArgument("unsafe join: " + join_table_ + " on " +
+                                   join_column_);
+  }
   std::string sql = "SELECT ";
   if (count_only_) {
     sql += "COUNT(*)";
@@ -52,7 +67,7 @@ Result<std::string> QuerySpec::ToSql(std::vector<db::Value>* params) const {
     sql += "*";
   } else {
     for (size_t i = 0; i < fields_.size(); ++i) {
-      if (!IsSafeIdentifier(fields_[i])) {
+      if (!IsSafeFieldName(fields_[i])) {
         return Status::InvalidArgument("unsafe field name: " + fields_[i]);
       }
       if (i > 0) sql += ", ";
@@ -61,11 +76,15 @@ Result<std::string> QuerySpec::ToSql(std::vector<db::Value>* params) const {
   }
   sql += " FROM ";
   sql += table_;
+  if (joined) {
+    sql += " JOIN " + join_table_ + " ON " + table_ + "." + join_column_ +
+           " = " + join_table_ + "." + join_column_;
+  }
 
   params->clear();
   bool first = true;
   for (const Condition& cond : conditions_) {
-    if (!IsSafeIdentifier(cond.field)) {
+    if (!IsSafeFieldName(cond.field)) {
       return Status::InvalidArgument("unsafe field name: " + cond.field);
     }
     sql += first ? " WHERE " : " AND ";
@@ -76,15 +95,15 @@ Result<std::string> QuerySpec::ToSql(std::vector<db::Value>* params) const {
     sql += " ?";
     params->push_back(cond.value);
   }
-  if (!raw_predicate_.empty()) {
+  if (visible_to_.has_value()) {
+    // A separate AND conjunct, so an equality above still picks its index.
+    const std::string& scoped = joined ? join_table_ : table_;
     sql += first ? " WHERE " : " AND ";
-    first = false;
-    sql += "(";
-    sql += raw_predicate_;
-    sql += ")";
+    sql += "(" + scoped + ".is_public = TRUE OR " + scoped + ".owner_id = ?)";
+    params->push_back(db::Value::Int(*visible_to_));
   }
   if (!order_by_.empty()) {
-    if (!IsSafeIdentifier(order_by_)) {
+    if (!IsSafeFieldName(order_by_)) {
       return Status::InvalidArgument("unsafe order field: " + order_by_);
     }
     sql += " ORDER BY ";

@@ -7,14 +7,20 @@
 // collection object: validated against an allowlist of tables and
 // rendered to parameterized SQL, so queries can be adapted without
 // touching the API.
+//
+// The §5.3 access rule lives here and nowhere else: VisibleTo scopes a
+// query to the rows a profile may read ("the system typically appends
+// the user id to all queries", §5.5), as a bound parameter.
 #ifndef HEDC_DM_QUERY_SPEC_H_
 #define HEDC_DM_QUERY_SPEC_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/status.h"
 #include "db/database.h"
+#include "dm/users.h"
 
 namespace hedc::dm {
 
@@ -51,16 +57,27 @@ class QuerySpec {
     count_only_ = true;
     return *this;
   }
-  // Extra raw predicate AND-ed in (used for session view predicates).
-  QuerySpec& RawPredicate(std::string predicate) {
-    raw_predicate_ = std::move(predicate);
+  // One inner equi-join: `table` joined on the column of the same name
+  // in both tables. Field names may then be qualified (`table.column`).
+  QuerySpec& Join(std::string table, std::string column) {
+    join_table_ = std::move(table);
+    join_column_ = std::move(column);
+    return *this;
+  }
+  // Scopes the query to the rows `profile` may read: public rows or its
+  // own, unless it is a super user (§5.3). The rule applies to the
+  // joined table when there is one, else to the base table.
+  QuerySpec& VisibleTo(const UserProfile& profile) {
+    visible_to_ = profile.is_super ? std::nullopt
+                                   : std::make_optional(profile.user_id);
     return *this;
   }
 
   const std::string& table() const { return table_; }
 
-  // Verifies field names (identifier charset) and renders SQL with '?'
-  // parameters; the bound values come out through `params`.
+  // Verifies table and field names (identifier charset, at most one
+  // `table.` qualifier) and renders SQL with '?' parameters; the bound
+  // values come out through `params`.
   Result<std::string> ToSql(std::vector<db::Value>* params) const;
 
  private:
@@ -71,7 +88,9 @@ class QuerySpec {
   bool order_desc_ = false;
   int64_t limit_ = -1;
   bool count_only_ = false;
-  std::string raw_predicate_;
+  std::string join_table_;
+  std::string join_column_;
+  std::optional<int64_t> visible_to_;  // user id; unset = unscoped
 };
 
 }  // namespace hedc::dm

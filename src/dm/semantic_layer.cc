@@ -77,7 +77,6 @@ CatalogRecord CatalogFromRow(const db::ResultSet& rs, size_t row) {
 // nodes sharing one DBMS do not collide.
 void SeedIds(IoLayer* io, const std::string& table,
              const std::string& column, IdGenerator* ids) {
-  QuerySpec spec(table);
   Result<db::ResultSet> rs =
       io->DatabaseFor(table)->Execute("SELECT MAX(" + column + ") FROM " +
                                       table);
@@ -99,12 +98,6 @@ SemanticLayer::SemanticLayer(IoLayer* io, Clock* clock)
 
 double SemanticLayer::NowSeconds() const {
   return static_cast<double>(clock_->Now()) / kMicrosPerSecond;
-}
-
-bool SemanticLayer::Visible(const Session& session, int64_t owner_id,
-                            bool is_public) {
-  return is_public || session.profile.is_super ||
-         session.profile.user_id == owner_id;
 }
 
 Status SemanticLayer::RequireOwnership(const Session& session,
@@ -165,19 +158,15 @@ Result<int64_t> SemanticLayer::CreateHle(const Session& session,
 Result<HleRecord> SemanticLayer::GetHle(const Session& session,
                                         int64_t hle_id) {
   QuerySpec spec("hle");
-  spec.Where("hle_id", CondOp::kEq, db::Value::Int(hle_id));
+  spec.Where("hle_id", CondOp::kEq, db::Value::Int(hle_id))
+      .VisibleTo(session.profile);
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, io_->Query(spec));
+  // An invisible HLE is indistinguishable from an absent one (§5.3).
   if (rs.rows.empty()) {
     return Status::NotFound(StrFormat("HLE %lld",
                                       static_cast<long long>(hle_id)));
   }
-  HleRecord record = HleFromRow(rs, 0);
-  if (!Visible(session, record.owner_id, record.is_public)) {
-    // Indistinguishable from absent: privacy constraint (§5.3).
-    return Status::NotFound(StrFormat("HLE %lld",
-                                      static_cast<long long>(hle_id)));
-  }
-  return record;
+  return HleFromRow(rs, 0);
 }
 
 Result<std::vector<HleRecord>> SemanticLayer::ListHles(
@@ -185,11 +174,9 @@ Result<std::vector<HleRecord>> SemanticLayer::ListHles(
   QuerySpec spec("hle");
   spec.Where("t_start", CondOp::kGe, db::Value::Real(t_lo))
       .Where("t_start", CondOp::kLe, db::Value::Real(t_hi))
-      .OrderBy("t_start");
+      .OrderBy("t_start")
+      .VisibleTo(session.profile);
   if (limit >= 0) spec.Limit(limit);
-  if (!session.view_predicate.empty()) {
-    spec.RawPredicate(session.view_predicate);
-  }
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, io_->Query(spec));
   std::vector<HleRecord> out;
   out.reserve(rs.num_rows());
@@ -298,28 +285,22 @@ Result<int64_t> SemanticLayer::CreateAna(const Session& session,
 Result<AnaRecord> SemanticLayer::GetAna(const Session& session,
                                         int64_t ana_id) {
   QuerySpec spec("ana");
-  spec.Where("ana_id", CondOp::kEq, db::Value::Int(ana_id));
+  spec.Where("ana_id", CondOp::kEq, db::Value::Int(ana_id))
+      .VisibleTo(session.profile);
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, io_->Query(spec));
   if (rs.rows.empty()) {
     return Status::NotFound(StrFormat("ANA %lld",
                                       static_cast<long long>(ana_id)));
   }
-  AnaRecord record = AnaFromRow(rs, 0);
-  if (!Visible(session, record.owner_id, record.is_public)) {
-    return Status::NotFound(StrFormat("ANA %lld",
-                                      static_cast<long long>(ana_id)));
-  }
-  return record;
+  return AnaFromRow(rs, 0);
 }
 
 Result<std::vector<AnaRecord>> SemanticLayer::ListAnalyses(
     const Session& session, int64_t hle_id) {
   QuerySpec spec("ana");
   spec.Where("hle_id", CondOp::kEq, db::Value::Int(hle_id))
-      .OrderBy("ana_id");
-  if (!session.view_predicate.empty()) {
-    spec.RawPredicate(session.view_predicate);
-  }
+      .OrderBy("ana_id")
+      .VisibleTo(session.profile);
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, io_->Query(spec));
   std::vector<AnaRecord> out;
   out.reserve(rs.num_rows());
@@ -356,10 +337,8 @@ Result<std::optional<AnaRecord>> SemanticLayer::FindExistingAnalysis(
   int64_t hash = HashParams(routine, canonical_params);
   QuerySpec spec("ana");
   spec.Where("param_hash", CondOp::kEq, db::Value::Int(hash))
-      .Where("hle_id", CondOp::kEq, db::Value::Int(hle_id));
-  if (!session.view_predicate.empty()) {
-    spec.RawPredicate(session.view_predicate);
-  }
+      .Where("hle_id", CondOp::kEq, db::Value::Int(hle_id))
+      .VisibleTo(session.profile);
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, io_->Query(spec));
   for (size_t i = 0; i < rs.num_rows(); ++i) {
     AnaRecord record = AnaFromRow(rs, i);
@@ -399,14 +378,11 @@ Result<int64_t> SemanticLayer::CreateCatalog(const Session& session,
 Result<CatalogRecord> SemanticLayer::GetCatalogByName(
     const Session& session, const std::string& name) {
   QuerySpec spec("catalogs");
-  spec.Where("name", CondOp::kEq, db::Value::Text(name));
+  spec.Where("name", CondOp::kEq, db::Value::Text(name))
+      .VisibleTo(session.profile);
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, io_->Query(spec));
   if (rs.rows.empty()) return Status::NotFound("catalog " + name);
-  CatalogRecord record = CatalogFromRow(rs, 0);
-  if (!Visible(session, record.owner_id, record.is_public)) {
-    return Status::NotFound("catalog " + name);
-  }
-  return record;
+  return CatalogFromRow(rs, 0);
 }
 
 Status SemanticLayer::AddToCatalog(const Session& session,
@@ -436,16 +412,16 @@ Status SemanticLayer::AddToCatalog(const Session& session,
 Result<std::vector<int64_t>> SemanticLayer::ListCatalogHles(
     const Session& session, int64_t catalog_id) {
   QuerySpec spec("catalog_members");
-  spec.Select("hle_id")
-      .Where("catalog_id", CondOp::kEq, db::Value::Int(catalog_id))
-      .OrderBy("hle_id");
+  spec.Select("catalog_members.hle_id")
+      .Join("hle", "hle_id")
+      .Where("catalog_members.catalog_id", CondOp::kEq,
+             db::Value::Int(catalog_id))
+      .OrderBy("catalog_members.hle_id")
+      .VisibleTo(session.profile);
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, io_->Query(spec));
   std::vector<int64_t> out;
-  for (size_t i = 0; i < rs.num_rows(); ++i) {
-    int64_t hle_id = rs.Get(i, "hle_id").AsInt();
-    // Only visible HLEs are listed.
-    if (GetHle(session, hle_id).ok()) out.push_back(hle_id);
-  }
+  out.reserve(rs.num_rows());
+  for (const db::Row& row : rs.rows) out.push_back(row[0].AsInt());
   return out;
 }
 

@@ -4,7 +4,8 @@
 // determines data dependencies. ... This layer ensures that all images
 // produced during an analysis are properly referenced in the system."
 // Access control follows §5.5: derived data is private to its owner until
-// flagged public; the user id is appended to all queries.
+// flagged public; every read appends the user id through
+// QuerySpec::VisibleTo, so invisible rows never leave the DBMS.
 #ifndef HEDC_DM_SEMANTIC_LAYER_H_
 #define HEDC_DM_SEMANTIC_LAYER_H_
 
@@ -127,6 +128,8 @@ class SemanticLayer {
   // Membership requires the HLE to exist and be visible to the session.
   Status AddToCatalog(const Session& session, int64_t catalog_id,
                       int64_t hle_id);
+  // Members whose HLE exists and is visible to the session, by hle_id:
+  // one joined statement.
   Result<std::vector<int64_t>> ListCatalogHles(const Session& session,
                                                int64_t catalog_id);
 
@@ -143,9 +146,6 @@ class SemanticLayer {
                             const std::string& canonical_params);
 
  private:
-  // Visibility predicate: owner, public flag, super user.
-  static bool Visible(const Session& session, int64_t owner_id,
-                      bool is_public);
   static Status RequireOwnership(const Session& session, int64_t owner_id);
 
   double NowSeconds() const;

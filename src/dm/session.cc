@@ -1,9 +1,6 @@
 #include "dm/session.h"
 
-#include <algorithm>
-
 #include "core/metrics.h"
-#include "core/strings.h"
 
 namespace hedc::dm {
 
@@ -79,15 +76,6 @@ Result<Session> SessionManager::GetOrCreate(const UserProfile& profile,
   session.cookie = cookie;
   session.created_at = clock_->Now();
   session.last_used = session.created_at;
-  // Scope reads: non-super users see public tuples or their own (§5.5:
-  // "the system typically appends the user id to all queries").
-  if (profile.is_super) {
-    session.view_predicate = "";
-  } else {
-    session.view_predicate = StrFormat(
-        "(is_public = TRUE OR owner_id = %lld)",
-        static_cast<long long>(profile.user_id));
-  }
 
   std::lock_guard<std::mutex> lock(mu_);
   ++sessions_created_;

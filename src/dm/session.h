@@ -34,9 +34,6 @@ struct Session {
   std::string cookie;
   Micros created_at = 0;
   Micros last_used = 0;
-  // The "temporary view (to speed up subsequent data access)": the query
-  // predicate fragment this session's reads are scoped by.
-  std::string view_predicate;
   // Request-tracing id for the request currently using this session copy.
   // Set per request by the caller (not cached); 0 = untraced.
   int64_t trace_id = 0;

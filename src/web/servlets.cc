@@ -136,9 +136,10 @@ class CatalogServlet : public Servlet {
   }
 };
 
-// The §6.1 workload: HLE header/footer + one analysis template per ANA;
-// ~7 DB queries per page (HLE fetch, analyses list, two count queries,
-// session/image lookups).
+// The §6.1 workload: HLE header/footer + one analysis template per ANA.
+// Three DB queries per page (HLE fetch, analyses list, catalog-entry
+// count), each scoped to the session's user; the analysis count is the
+// size of the scoped list.
 class HlePageServlet : public Servlet {
  public:
   HttpResponse Handle(const HttpRequest& request, dm::DataManager* dm,
@@ -159,14 +160,13 @@ class HlePageServlet : public Servlet {
     if (!analyses.ok()) {
       return HttpResponse::NotFound(analyses.status().ToString());
     }
-    // Count queries (full workload shape: "two are count queries").
-    dm::QuerySpec ana_count("ana");
-    ana_count.CountOnly().Where("hle_id", dm::CondOp::kEq,
-                                db::Value::Int(hle_id));
-    Result<db::ResultSet> n_ana = dm->io().Query(ana_count);
+    // Entries in catalogs the session may read.
     dm::QuerySpec member_count("catalog_members");
-    member_count.CountOnly().Where("hle_id", dm::CondOp::kEq,
-                                   db::Value::Int(hle_id));
+    member_count.CountOnly()
+        .Join("catalogs", "catalog_id")
+        .Where("catalog_members.hle_id", dm::CondOp::kEq,
+               db::Value::Int(hle_id))
+        .VisibleTo(session.profile);
     Result<db::ResultSet> n_members = dm->io().Query(member_count);
 
     const dm::HleRecord& record = hle.value();
@@ -180,8 +180,7 @@ class HlePageServlet : public Servlet {
     ctx.Set("peak_rate", StrFormat("%.1f", record.peak_rate));
     ctx.Set("photon_count", std::to_string(record.photon_count));
     ctx.Set("calibration", std::to_string(record.calibration_version));
-    ctx.Set("analysis_count",
-            n_ana.ok() ? n_ana.value().rows[0][0].AsText() : "0");
+    ctx.Set("analysis_count", std::to_string(analyses.value().size()));
     ctx.Set("catalog_count",
             n_members.ok() ? n_members.value().rows[0][0].AsText() : "0");
     std::string inner = RenderTemplate(kHleTemplate, ctx).value_or("");
@@ -618,17 +617,13 @@ class ViewServlet : public Servlet {
   }
 };
 
-// Raw photons the /approx reservoir fallback keeps per request.
-constexpr size_t kApproxReservoirSize = 256;
-
 // /approx?unit=ID[&agg=count|sum][&t_lo=..][&t_hi=..][&resolution=R]:
 // error-bounded approximate aggregate over the unit's time range,
 // answered from a coarse view prefix (deterministic ± bars, see
 // PrefixInfo in wavelet/codec.h) so dashboard queries never touch the
 // raw photon list. agg=count sums the binned photon counts; agg=sum the
-// binned keV. When the unit has no stored view, a seeded
-// reservoir-sampling scan of the raw photons answers instead
-// (probabilistic ~95% bars, method "reservoir").
+// binned keV. When the unit has no decodable view, one pass over the raw
+// photons sums the range exactly instead (method "exact", bound 0).
 class ApproxServlet : public Servlet {
  public:
   HttpResponse Handle(const HttpRequest& request, dm::DataManager* dm,
@@ -677,8 +672,8 @@ class ApproxServlet : public Servlet {
       }
     }
     if (method.empty()) {
-      // No view (or an undecodable one): one sequential pass over the
-      // raw photons through a fixed-size reservoir.
+      // No view (or an undecodable one): one exact pass over the raw
+      // photons in [t_lo, t_hi).
       Result<std::vector<uint8_t>> packed = dm->io().ReadItemFile(unit_id);
       if (!packed.ok()) {
         return HttpResponse::NotFound(packed.status().ToString());
@@ -688,16 +683,14 @@ class ApproxServlet : public Servlet {
       if (!unit.ok()) {
         return HttpResponse::NotFound(unit.status().ToString());
       }
-      analysis::ReservoirSampler sampler(
-          kApproxReservoirSize,
-          /*seed=*/static_cast<uint64_t>(unit_id) * 1000003 +
-              static_cast<uint64_t>(meta.value().calibration_version));
+      const bool sum_kev = agg == "sum";
+      answer.bytes_read = packed.value().size();
       for (const rhessi::PhotonEvent& p : unit.value().photons) {
-        sampler.Add(p.time_sec, p.energy_kev);
+        if (p.time_sec < t_lo || p.time_sec >= t_hi) continue;
+        answer.estimate += sum_kev ? p.energy_kev : 1.0;
+        ++answer.bins;
       }
-      answer = agg == "sum" ? sampler.EstimateSumInRange(t_lo, t_hi)
-                            : sampler.EstimateCountInRange(t_lo, t_hi);
-      method = "reservoir";
+      method = "exact";
     }
     MetricsRegistry::Default()->GetCounter("web.approx.requests")->Add();
     HttpResponse response;

@@ -284,54 +284,5 @@ TEST(ApproxTest, ApproxSumFromPrefixWithinBound) {
   EXPECT_FALSE(ApproxSumFromPrefix(garbage.data(), garbage.size(), 0, 1).ok());
 }
 
-TEST(ApproxTest, ReservoirSamplerEstimatesWithinBars) {
-  Rng rng(43);
-  ReservoirSampler sampler(/*capacity=*/512, /*seed=*/7);
-  double exact_count = 0, exact_sum = 0;
-  const size_t n = 50000;
-  for (size_t i = 0; i < n; ++i) {
-    double position = rng.Uniform(0, 1000);
-    double value = rng.Uniform(1, 9);
-    sampler.Add(position, value);
-    if (position >= 200 && position < 500) {
-      exact_count += 1;
-      exact_sum += value;
-    }
-  }
-  EXPECT_EQ(sampler.seen(), n);
-  EXPECT_EQ(sampler.size(), 512u);
-
-  ApproxAnswer count = sampler.EstimateCountInRange(200, 500);
-  EXPECT_GT(count.error_bound, 0);
-  EXPECT_LE(std::abs(count.estimate - exact_count), count.error_bound)
-      << count.estimate << " vs " << exact_count;
-
-  ApproxAnswer sum = sampler.EstimateSumInRange(200, 500);
-  EXPECT_LE(std::abs(sum.estimate - exact_sum), sum.error_bound)
-      << sum.estimate << " vs " << exact_sum;
-
-  // The full range is counted exactly: every sampled position matches,
-  // so the indicator has zero variance.
-  ApproxAnswer all = sampler.EstimateCountInRange(0, 1000);
-  EXPECT_DOUBLE_EQ(all.estimate, static_cast<double>(n));
-}
-
-TEST(ApproxTest, ReservoirSamplerSmallStreams) {
-  // Fewer points than capacity: estimates are exact, bars are zero.
-  ReservoirSampler sampler(/*capacity=*/64, /*seed=*/1);
-  for (int i = 0; i < 10; ++i) {
-    sampler.Add(static_cast<double>(i), 2.0);
-  }
-  ApproxAnswer count = sampler.EstimateCountInRange(0, 5);
-  EXPECT_DOUBLE_EQ(count.estimate, 5.0);
-  EXPECT_DOUBLE_EQ(count.error_bound, 0.0);
-  ApproxAnswer sum = sampler.EstimateSumInRange(0, 5);
-  EXPECT_DOUBLE_EQ(sum.estimate, 10.0);
-
-  // An empty sampler answers zero without dividing by zero.
-  ReservoirSampler empty(16, 2);
-  EXPECT_DOUBLE_EQ(empty.EstimateCountInRange(0, 1).estimate, 0.0);
-}
-
 }  // namespace
 }  // namespace hedc::analysis

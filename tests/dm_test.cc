@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/clock.h"
+#include "db/explain.h"
 #include "dm/dm.h"
 #include "dm/hedc_schema.h"
 #include "dm/process_layer.h"
@@ -145,6 +146,46 @@ TEST_F(DmTest, QuerySpecRendersSql) {
             "SELECT hle_id, event_type FROM hle WHERE t_start >= ? AND "
             "event_type = ? ORDER BY t_start DESC LIMIT 5");
   ASSERT_EQ(params.size(), 2u);
+
+  // A join with qualified names, scoped to a non-super user: the rule
+  // lands on the joined table and the user id is a bound parameter.
+  QuerySpec joined("catalog_members");
+  joined.Select("catalog_members.hle_id")
+      .Join("hle", "hle_id")
+      .Where("catalog_members.catalog_id", CondOp::kEq, db::Value::Int(3))
+      .OrderBy("catalog_members.hle_id")
+      .VisibleTo(alice_.profile);
+  sql = joined.ToSql(&params);
+  ASSERT_TRUE(sql.ok()) << sql.status().ToString();
+  EXPECT_EQ(sql.value(),
+            "SELECT catalog_members.hle_id FROM catalog_members JOIN hle ON "
+            "catalog_members.hle_id = hle.hle_id WHERE "
+            "catalog_members.catalog_id = ? AND (hle.is_public = TRUE OR "
+            "hle.owner_id = ?) ORDER BY catalog_members.hle_id");
+  ASSERT_EQ(params.size(), 2u);
+  EXPECT_EQ(params[0].AsInt(), 3);
+  EXPECT_EQ(params[1].AsInt(), alice_id_);
+  // No user id (no digit at all) is formatted into the text.
+  EXPECT_EQ(sql.value().find_first_of("0123456789"), std::string::npos);
+
+  // Unjoined, the rule lands on the base table, also with no other
+  // condition; a super user's query is not scoped.
+  QuerySpec scoped("hle");
+  scoped.CountOnly().VisibleTo(bob_.profile);
+  sql = scoped.ToSql(&params);
+  ASSERT_TRUE(sql.ok());
+  EXPECT_EQ(sql.value(),
+            "SELECT COUNT(*) FROM hle WHERE (hle.is_public = TRUE OR "
+            "hle.owner_id = ?)");
+  ASSERT_EQ(params.size(), 1u);
+  EXPECT_EQ(params[0].AsInt(), bob_id_);
+  QuerySpec unscoped("hle");
+  unscoped.Where("hle_id", CondOp::kEq, db::Value::Int(7))
+      .VisibleTo(root_.profile);
+  sql = unscoped.ToSql(&params);
+  ASSERT_TRUE(sql.ok());
+  EXPECT_EQ(sql.value(), "SELECT * FROM hle WHERE hle_id = ?");
+  EXPECT_EQ(params.size(), 1u);
 }
 
 TEST_F(DmTest, QuerySpecRejectsInjection) {
@@ -156,6 +197,29 @@ TEST_F(DmTest, QuerySpecRejectsInjection) {
   QuerySpec bad_cond("hle");
   bad_cond.Where("x = 1 OR", CondOp::kEq, db::Value::Int(1));
   EXPECT_FALSE(bad_cond.ToSql(&params).ok());
+  // Each part of a qualified name is checked, and only one qualifier is
+  // allowed.
+  for (const char* field : {"hle.x; DROP", "hle; DROP.x", "a.b.c", "hle.",
+                            ".hle_id"}) {
+    QuerySpec bad_qualified("hle");
+    bad_qualified.Select(field);
+    EXPECT_FALSE(bad_qualified.ToSql(&params).ok()) << field;
+    QuerySpec bad_where("hle");
+    bad_where.Where(field, CondOp::kEq, db::Value::Int(1));
+    EXPECT_FALSE(bad_where.ToSql(&params).ok()) << field;
+    QuerySpec bad_order("hle");
+    bad_order.OrderBy(field);
+    EXPECT_FALSE(bad_order.ToSql(&params).ok()) << field;
+  }
+  QuerySpec bad_join_table("catalog_members");
+  bad_join_table.Join("hle; DROP TABLE hle", "hle_id");
+  EXPECT_FALSE(bad_join_table.ToSql(&params).ok());
+  QuerySpec bad_join_column("catalog_members");
+  bad_join_column.Join("hle", "hle_id = hle.hle_id OR 1");
+  EXPECT_FALSE(bad_join_column.ToSql(&params).ok());
+  QuerySpec qualified_join_column("catalog_members");
+  qualified_join_column.Join("hle", "hle.hle_id");
+  EXPECT_FALSE(qualified_join_column.ToSql(&params).ok());
 }
 
 TEST_F(DmTest, HleCrudAndVisibility) {
@@ -178,6 +242,29 @@ TEST_F(DmTest, HleCrudAndVisibility) {
   EXPECT_TRUE(dm_->semantics()
                   .SetHlePublic(bob_, hle_id, false)
                   .IsPermissionDenied());
+}
+
+// The access rule is a separate AND conjunct, so a scoped point read
+// still probes the id index instead of scanning the table.
+TEST_F(DmTest, ScopedPointReadUsesIdIndex) {
+  HleRecord record;
+  record.is_public = true;
+  int64_t hle_id = dm_->semantics().CreateHle(alice_, record).value();
+  QuerySpec spec("hle");
+  spec.Where("hle_id", CondOp::kEq, db::Value::Int(hle_id))
+      .VisibleTo(bob_.profile);
+  std::vector<db::Value> params;
+  auto sql = spec.ToSql(&params);
+  ASSERT_TRUE(sql.ok());
+  auto plan = db::ExplainSelect(&db_, sql.value(), params);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan.value().access, db::QueryPlan::Access::kIndexPoint)
+      << plan.value().ToString();
+  EXPECT_EQ(plan.value().index_name, "hle_by_id");
+
+  int64_t scans = db_.stats().full_scans.load();
+  EXPECT_TRUE(dm_->semantics().GetHle(bob_, hle_id).ok());
+  EXPECT_EQ(db_.stats().full_scans.load(), scans);
 }
 
 TEST_F(DmTest, ListHlesScopedBySessionView) {
@@ -371,6 +458,71 @@ TEST_F(DmTest, CatalogMembershipRules) {
                 .status()
                 .code(),
             StatusCode::kAlreadyExists);
+}
+
+// ListCatalogHles is one joined statement. The per-member GetHle loop it
+// replaced is the oracle: same ids, same order, for every session.
+TEST_F(DmTest, ListCatalogHlesMatchesPerMemberOracle) {
+  auto make_hle = [this](const Session& owner, bool is_public) {
+    HleRecord record;
+    record.is_public = is_public;
+    return dm_->semantics().CreateHle(owner, record).value();
+  };
+  const int64_t alice_public = make_hle(alice_, true);
+  const int64_t alice_private = make_hle(alice_, false);
+  const int64_t bob_private = make_hle(bob_, false);
+  const int64_t bob_public = make_hle(bob_, true);
+  const int64_t root_private = make_hle(root_, false);
+  const int64_t deleted = make_hle(alice_, true);
+
+  const int64_t mixed =
+      dm_->semantics().CreateCatalog(root_, "mixed", "", true).value();
+  // Out of id order, one member twice, and one whose HLE goes away.
+  for (int64_t hle_id : {bob_public, deleted, alice_private, alice_public,
+                         root_private, bob_private, alice_public}) {
+    ASSERT_TRUE(dm_->semantics().AddToCatalog(root_, mixed, hle_id).ok());
+  }
+  // Deleting the tuple directly leaves its membership row dangling.
+  ASSERT_TRUE(db_.Execute("DELETE FROM hle WHERE hle_id = ?",
+                          {db::Value::Int(deleted)})
+                  .ok());
+  const int64_t alices =
+      dm_->semantics().CreateCatalog(alice_, "alices", "", false).value();
+  for (int64_t hle_id : {bob_public, alice_private}) {
+    ASSERT_TRUE(dm_->semantics().AddToCatalog(alice_, alices, hle_id).ok());
+  }
+  const int64_t empty =
+      dm_->semantics().CreateCatalog(bob_, "empty", "", true).value();
+
+  auto oracle = [this](const Session& session, int64_t catalog_id) {
+    auto members = db_.Execute(
+        "SELECT hle_id FROM catalog_members WHERE catalog_id = ? "
+        "ORDER BY hle_id",
+        {db::Value::Int(catalog_id)});
+    EXPECT_TRUE(members.ok());
+    std::vector<int64_t> visible;
+    for (const db::Row& row : members.value().rows) {
+      if (dm_->semantics().GetHle(session, row[0].AsInt()).ok()) {
+        visible.push_back(row[0].AsInt());
+      }
+    }
+    return visible;
+  };
+  for (const Session* session : {&alice_, &bob_, &root_}) {
+    for (int64_t catalog_id : {mixed, alices, empty}) {
+      auto listed = dm_->semantics().ListCatalogHles(*session, catalog_id);
+      ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+      EXPECT_EQ(listed.value(), oracle(*session, catalog_id))
+          << session->profile.name << " catalog " << catalog_id;
+    }
+  }
+  // The sessions see different lists, so the comparison has teeth.
+  EXPECT_EQ(dm_->semantics().ListCatalogHles(bob_, mixed).value(),
+            (std::vector<int64_t>{alice_public, alice_public, bob_private,
+                                  bob_public}));
+  EXPECT_EQ(dm_->semantics().ListCatalogHles(root_, mixed).value().size(),
+            6u);
+  EXPECT_TRUE(dm_->semantics().ListCatalogHles(alice_, empty).value().empty());
 }
 
 TEST_F(DmTest, IoLayerFileRoundTripViaNameMapping) {

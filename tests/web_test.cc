@@ -435,9 +435,9 @@ TEST_F(WebStackTest, ApproxAggregatesStayWithinReportedBound) {
   }
 }
 
-TEST_F(WebStackTest, ApproxFallsBackToReservoir) {
-  // Destroy the stored view in place: the servlet must fall back to the
-  // seeded reservoir scan of the raw photons instead of failing.
+TEST_F(WebStackTest, ApproxFallsBackToExactScan) {
+  // Destroy the stored view in place: the servlet must fall back to an
+  // exact scan of the raw photons instead of failing.
   auto name = stack_.mapper->Resolve(dm::ProcessLayer::ViewItemId(1),
                                      archive::NameType::kFilename);
   ASSERT_TRUE(name.ok());
@@ -453,23 +453,33 @@ TEST_F(WebStackTest, ApproxFallsBackToReservoir) {
   double t_lo = unit.value().t_start;
   double t_hi = unit.value().t_start +
                 (unit.value().t_stop - unit.value().t_start) * 0.4;
-  double exact_count = 0;
+  double exact_count = 0, exact_sum = 0;
   for (const auto& p : unit.value().photons) {
-    if (p.time_sec >= t_lo && p.time_sec < t_hi) exact_count += 1.0;
+    if (p.time_sec >= t_lo && p.time_sec < t_hi) {
+      exact_count += 1.0;
+      exact_sum += p.energy_kev;
+    }
   }
+  ASSERT_GT(exact_count, 0);
 
-  HttpRequest request = MakeRequest(StrFormat(
-      "/approx?unit=1&agg=count&t_lo=%.9f&t_hi=%.9f", t_lo, t_hi));
-  HttpResponse response = stack_.web_server->Dispatch(request);
-  ASSERT_EQ(response.status_code, 200) << response.body;
-  EXPECT_NE(response.body.find("\"method\":\"reservoir\""),
-            std::string::npos)
-      << response.body;
-  double estimate = JsonNumber(response.body, "estimate");
-  double bound = JsonNumber(response.body, "error_bound");
-  EXPECT_GT(bound, 0);
-  // ~95% bars from a seeded reservoir: deterministic for this fixture.
-  EXPECT_LE(std::abs(estimate - exact_count), bound) << response.body;
+  for (const char* agg : {"count", "sum"}) {
+    HttpRequest request = MakeRequest(
+        StrFormat("/approx?unit=1&agg=%s&t_lo=%.9f&t_hi=%.9f", agg, t_lo,
+                  t_hi));
+    HttpResponse response = stack_.web_server->Dispatch(request);
+    ASSERT_EQ(response.status_code, 200) << response.body;
+    EXPECT_NE(response.body.find("\"method\":\"exact\""),
+              std::string::npos)
+        << response.body;
+    EXPECT_EQ(JsonNumber(response.body, "error_bound"), 0) << response.body;
+    double estimate = JsonNumber(response.body, "estimate");
+    if (std::string(agg) == "count") {
+      EXPECT_EQ(estimate, exact_count) << response.body;
+    } else {
+      // The body prints six decimals.
+      EXPECT_NEAR(estimate, exact_sum, 1e-6) << response.body;
+    }
+  }
 }
 
 TEST_F(WebStackTest, CatalogPageListsEvents) {
@@ -481,6 +491,89 @@ TEST_F(WebStackTest, CatalogPageListsEvents) {
     EXPECT_NE(response.body.find("/hle?id=" + std::to_string(hle_id)),
               std::string::npos);
   }
+}
+
+// /catalog costs the same number of DM queries whatever the catalog's
+// size: the members and their visibility come from one statement.
+TEST_F(WebStackTest, CatalogPageQueryCountIsConstant) {
+  dm::Session alice = stack_.Login("alice", "pw-a", "10.0.0.1");
+  for (int size : {1, 50}) {
+    const std::string name = "sized" + std::to_string(size);
+    int64_t catalog_id = stack_.data_manager->semantics()
+                             .CreateCatalog(alice, name, "", true)
+                             .value();
+    for (int i = 0; i < size; ++i) {
+      dm::HleRecord record;
+      record.is_public = true;
+      int64_t hle_id =
+          stack_.data_manager->semantics().CreateHle(alice, record).value();
+      ASSERT_TRUE(stack_.data_manager->semantics()
+                      .AddToCatalog(alice, catalog_id, hle_id)
+                      .ok());
+    }
+    int64_t before = stack_.data_manager->io().queries_executed();
+    HttpResponse response = stack_.web_server->Dispatch(
+        MakeRequest("/catalog?name=" + name, "10.0.0.2",
+                    LoginCookie("bob", "pw-b")));
+    int64_t queries = stack_.data_manager->io().queries_executed() - before;
+    ASSERT_EQ(response.status_code, 200) << response.body;
+    EXPECT_NE(response.body.find(StrFormat("<p>%d events</p>", size)),
+              std::string::npos)
+        << response.body;
+    EXPECT_LE(queries, 2) << size << " members";
+  }
+}
+
+// The /hle page's counts cover only what the viewer may read: Bob sees
+// Alice's public analysis and public catalog, not her private ones.
+TEST_F(WebStackTest, HlePageCountsOnlyVisibleRows) {
+  dm::UserProfile super_user;
+  super_user.is_super = true;
+  ASSERT_TRUE(stack_.data_manager->users()
+                  .CreateUser("root", "pw-r", super_user)
+                  .ok());
+  dm::Session alice = stack_.Login("alice", "pw-a", "10.0.0.1");
+  dm::SemanticLayer& semantics = stack_.data_manager->semantics();
+  dm::HleRecord hle;
+  hle.is_public = true;
+  int64_t hle_id = semantics.CreateHle(alice, hle).value();
+  for (bool is_public : {true, false}) {
+    dm::AnaRecord ana;
+    ana.hle_id = hle_id;
+    ana.routine = is_public ? "lightcurve" : "histogram";
+    ana.status = "done";
+    ana.is_public = is_public;
+    ASSERT_TRUE(semantics.CreateAna(alice, ana).ok());
+    int64_t catalog_id =
+        semantics
+            .CreateCatalog(alice, is_public ? "open" : "mine", "", is_public)
+            .value();
+    ASSERT_TRUE(semantics.AddToCatalog(alice, catalog_id, hle_id).ok());
+  }
+
+  const std::string url = "/hle?id=" + std::to_string(hle_id);
+  struct Viewer {
+    const char* user;
+    const char* password;
+    const char* counts;
+    const char* ip;
+  };
+  for (const Viewer& viewer :
+       {Viewer{"bob", "pw-b", "1 analyses, 1 catalog entries", "10.0.0.2"},
+        Viewer{"alice", "pw-a", "2 analyses, 2 catalog entries", "10.0.0.1"},
+        Viewer{"root", "pw-r", "2 analyses, 2 catalog entries",
+               "10.0.0.3"}}) {
+    HttpResponse page = stack_.web_server->Dispatch(MakeRequest(
+        url, viewer.ip, LoginCookie(viewer.user, viewer.password)));
+    ASSERT_EQ(page.status_code, 200) << viewer.user;
+    EXPECT_NE(page.body.find(viewer.counts), std::string::npos)
+        << viewer.user << ": " << page.body;
+  }
+  // Bob's page lists exactly the analysis it counts.
+  HttpResponse bob_page = stack_.web_server->Dispatch(
+      MakeRequest(url, "10.0.0.2", LoginCookie("bob", "pw-b")));
+  EXPECT_NE(bob_page.body.find("lightcurve"), std::string::npos);
+  EXPECT_EQ(bob_page.body.find("histogram"), std::string::npos);
 }
 
 TEST_F(WebStackTest, HlePageShowsEventDetails) {
