@@ -1,4 +1,4 @@
-// Progressive multi-resolution view delivery (§6.3): one stored HWV3
+// Progressive multi-resolution view delivery (§6.3): one stored HWV4
 // stream serves every resolution as a byte prefix, so the first paint of
 // a browse view costs a small fraction of the full-fidelity download.
 //

@@ -8,8 +8,8 @@
 # that lane; the stress label regex picks it up here) — under
 # ThreadSanitizer, and the decoder tests under AddressSanitizer +
 # UndefinedBehaviorSanitizer (hostile bytes and NaN ranges reach the
-# wavelet, archive, RMI-frame and /approx decoders). Run from the repo
-# root:
+# wavelet, archive, photon-list, RMI-frame and /approx decoders). Run
+# from the repo root:
 #   scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -37,7 +37,7 @@ python3 bench/validate_bench_json.py BENCH_wavelet_progressive.json \
 
 echo "=== build decoder, query-building and WAL/write-unit tests (HEDC_SANITIZE=address: ASan + UBSan) ==="
 asan_tests=(wavelet_test wavelet_codec_fuzz_test analysis_test archive_test
-            dm_remote_codec_fuzz_test web_test dm_test
+            rhessi_test dm_remote_codec_fuzz_test web_test dm_test
             db_wal_test db_database_test db_concurrency_test)
 cmake -B build-asan -S . -DHEDC_SANITIZE=address >/dev/null
 cmake --build build-asan -j --target "${asan_tests[@]}"

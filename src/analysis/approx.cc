@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
+#include "core/strings.h"
 #include "wavelet/codec.h"
 
 namespace hedc::analysis {
@@ -33,8 +35,24 @@ Result<ApproxAnswer> ApproxSumFromPrefix(const uint8_t* data, size_t size,
   to = std::min(to, bins.size());
   for (size_t b = from; b < to; ++b) answer.estimate += bins[b];
   answer.bins = to > from ? to - from : 0;
-  answer.error_bound = info.SumErrorBound(answer.bins);
+  answer.error_bound = info.RangeSumErrorBound(from, to);
   return answer;
+}
+
+PrintedAnswer PrintSixDecimals(const ApproxAnswer& answer) {
+  PrintedAnswer printed;
+  printed.estimate = StrFormat("%.6f", answer.estimate);
+  if (answer.error_bound == 0) {
+    printed.error_bound = "0.000000";
+    return printed;
+  }
+  double need = answer.error_bound +
+                std::fabs(std::strtod(printed.estimate.c_str(), nullptr) -
+                          answer.estimate);
+  double micros = std::ceil(need * 1e6);
+  if (micros / 1e6 < need) micros += 1;  // need * 1e6 rounded down
+  printed.error_bound = StrFormat("%.6f", micros / 1e6);
+  return printed;
 }
 
 }  // namespace hedc::analysis

@@ -119,7 +119,7 @@ class ProcessLayer {
                                      size_t file_bytes);
   // Builds and stores the unit's progressive view file: a FITS-lite
   // container with a "VIEW" HDU (photon counts per bin) and a "VIEW_E"
-  // HDU (summed keV per bin), both prefix-decodable HWV3 streams.
+  // HDU (summed keV per bin), both prefix-decodable HWV4 streams.
   // Overwrites in place when the view item already exists (recalibration).
   bool WriteViewFile(const rhessi::RawDataUnit& unit);
 

@@ -10,14 +10,20 @@ std::vector<DetectedEvent> DetectEvents(const PhotonList& photons,
   std::vector<DetectedEvent> out;
   if (photons.empty()) return out;
 
-  double t_end = photons.back().time_sec;
+  // Bins cover the photons' own span: a unit late in the mission must
+  // not bin the empty time before its first photon, which would drag the
+  // median background to zero.
+  double origin =
+      std::floor(photons.front().time_sec / options.bin_sec) * options.bin_sec;
+  double t_end = photons.back().time_sec - origin;
   size_t num_bins =
       static_cast<size_t>(std::ceil(t_end / options.bin_sec)) + 1;
   std::vector<int64_t> counts(num_bins, 0);
   std::vector<double> energy_sum(num_bins, 0.0);
   std::vector<int64_t> hard_counts(num_bins, 0);
   for (const PhotonEvent& p : photons) {
-    size_t b = static_cast<size_t>(p.time_sec / options.bin_sec);
+    size_t b = static_cast<size_t>(
+        std::max(0.0, (p.time_sec - origin) / options.bin_sec));
     if (b >= num_bins) b = num_bins - 1;
     ++counts[b];
     energy_sum[b] += p.energy_kev;
@@ -59,8 +65,9 @@ std::vector<DetectedEvent> DetectEvents(const PhotonList& photons,
       ++j;
     }
     DetectedEvent event;
-    event.t_start = static_cast<double>(start) * options.bin_sec;
-    event.t_end = static_cast<double>(last_active + 1) * options.bin_sec;
+    event.t_start = origin + static_cast<double>(start) * options.bin_sec;
+    event.t_end =
+        origin + static_cast<double>(last_active + 1) * options.bin_sec;
     int64_t total = 0, hard = 0;
     double e_sum = 0;
     double peak = 0;
@@ -103,8 +110,9 @@ std::vector<DetectedEvent> DetectEvents(const PhotonList& photons,
       if (b - run_start >= quiet_min_bins) {
         DetectedEvent event;
         event.kind = EventKind::kQuiet;
-        event.t_start = static_cast<double>(run_start) * options.bin_sec;
-        event.t_end = static_cast<double>(b) * options.bin_sec;
+        event.t_start =
+            origin + static_cast<double>(run_start) * options.bin_sec;
+        event.t_end = origin + static_cast<double>(b) * options.bin_sec;
         out.push_back(event);
       }
     }

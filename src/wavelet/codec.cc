@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "core/bytes.h"
 #include "wavelet/haar.h"
@@ -11,7 +12,7 @@ namespace hedc::wavelet {
 
 namespace {
 constexpr uint32_t kCodec2dMagic = 0x48575632;      // "HWV2"
-constexpr uint32_t kProgressiveMagic = 0x48575633;  // "HWV3"
+constexpr uint32_t kProgressiveMagic = 0x48575634;  // "HWV4"
 
 // Streams travel over HTTP now, so header lengths are attacker
 // controlled: cap the coefficient-array allocation before trusting a
@@ -44,46 +45,69 @@ size_t LevelCount(size_t padded_len) {
   return levels;  // log2(padded_len) + 1
 }
 
+// A coefficient magnitude bound in one header byte: code b stands for
+// (quant_step / 2) * 2^((b + 1) / 4), a quarter-octave scale whose top
+// code is quant_step * 2^63, the largest magnitude the int64 quantizer
+// can store. The encoder picks the smallest code whose value (computed
+// by this same function) is >= the magnitude, so the decoder's bound
+// is never below it.
+double MagnitudeCodeValue(uint8_t code, double quant_step) {
+  static const double kQuarterOctave[4] = {1.0, 1.189207115002721,
+                                           1.4142135623730951,
+                                           1.681792830507429};
+  int steps = code + 1;
+  return std::ldexp(quant_step / 2 * kQuarterOctave[steps % 4], steps / 4);
+}
+
+uint8_t MagnitudeCode(double magnitude, double quant_step) {
+  double octaves = std::log2(magnitude / (quant_step / 2));
+  int code = std::isfinite(octaves)
+                 ? static_cast<int>(std::clamp(std::ceil(4 * octaves) - 1,
+                                               0.0, 255.0))
+                 : (octaves > 0 ? 255 : 0);
+  while (code < 255 && MagnitudeCodeValue(code, quant_step) < magnitude) {
+    ++code;
+  }
+  while (code > 0 && MagnitudeCodeValue(code - 1, quant_step) >= magnitude) {
+    --code;
+  }
+  return static_cast<uint8_t>(code);
+}
+
 struct Entry {
   uint32_t index;
   double value;
 };
 
-// Haar transform + threshold/quantization survivors, in index order.
-std::vector<Entry> RetainedCoefficients(const std::vector<double>& signal,
-                                        const CodecOptions& options,
-                                        size_t* original_len,
-                                        size_t* padded_len,
-                                        double* dropped_energy) {
-  std::vector<double> coeffs = signal;
-  *original_len = coeffs.size();
-  PadToPow2(&coeffs);
-  HaarForward(&coeffs);
-  *padded_len = coeffs.size();
-
-  std::vector<Entry> entries;
-  entries.reserve(coeffs.size());
-  double dropped = 0;
-  for (size_t i = 0; i < coeffs.size(); ++i) {
-    if (std::fabs(coeffs[i]) >= options.threshold &&
-        std::fabs(coeffs[i]) >= options.quant_step / 2) {
-      entries.push_back({static_cast<uint32_t>(i), coeffs[i]});
-    } else {
-      dropped += coeffs[i] * coeffs[i];
-    }
-  }
-  *dropped_energy = dropped;
-  return entries;
-}
-
 }  // namespace
 
 std::vector<uint8_t> EncodeSignalProgressive(const std::vector<double>& signal,
                                              const CodecOptions& options) {
-  size_t original_len = 0, padded_len = 0;
-  double dropped_energy = 0;
-  std::vector<Entry> entries = RetainedCoefficients(
-      signal, options, &original_len, &padded_len, &dropped_energy);
+  std::vector<double> coeffs = signal;
+  size_t original_len = coeffs.size();
+  PadToPow2(&coeffs);
+  HaarForward(&coeffs);
+  size_t padded_len = coeffs.size();
+  size_t num_levels = LevelCount(padded_len);
+
+  // Threshold/quantization survivors, plus the magnitude bounds the
+  // header carries: each level's largest |coefficient| and the largest
+  // one dropped anywhere.
+  std::vector<Entry> entries;
+  entries.reserve(coeffs.size());
+  std::vector<double> level_max(num_levels, 0.0);
+  double dropped_max = 0;
+  for (size_t i = 0; i < coeffs.size(); ++i) {
+    double magnitude = std::fabs(coeffs[i]);
+    double& level = level_max[LevelOfIndex(i)];
+    level = std::max(level, magnitude);
+    if (magnitude >= options.threshold &&
+        magnitude >= options.quant_step / 2) {
+      entries.push_back({static_cast<uint32_t>(i), coeffs[i]});
+    } else {
+      dropped_max = std::max(dropped_max, magnitude);
+    }
+  }
   // Level-major order; best-first (decreasing magnitude) within a level
   // so even a prefix that splits a level is the best prefix of that
   // length. Index is the tiebreak for a deterministic stream.
@@ -96,27 +120,19 @@ std::vector<uint8_t> EncodeSignalProgressive(const std::vector<double>& signal,
               return a.index < b.index;
             });
 
-  size_t num_levels = LevelCount(padded_len);
-
   // Payload first: per-level record counts and end offsets feed the
-  // header's table, and the retained-energy total is accumulated over
-  // the *dequantized* values in storage order so a full-prefix decode
-  // reproduces it bit-exactly.
+  // header's table.
   ByteBuffer payload;
   std::vector<uint64_t> level_counts(num_levels, 0);
   std::vector<uint64_t> level_ends(num_levels, 0);
-  double retained_energy = 0;
   size_t cursor = 0;
   for (size_t level = 0; level < num_levels; ++level) {
     while (cursor < entries.size() &&
            LevelOfIndex(entries[cursor].index) == level) {
       const Entry& e = entries[cursor];
-      int64_t quantized =
-          static_cast<int64_t>(std::llround(e.value / options.quant_step));
       payload.PutVarint(e.index);
-      payload.PutSignedVarint(quantized);
-      double dq = static_cast<double>(quantized) * options.quant_step;
-      retained_energy += dq * dq;
+      payload.PutSignedVarint(
+          static_cast<int64_t>(std::llround(e.value / options.quant_step)));
       ++level_counts[level];
       ++cursor;
     }
@@ -128,13 +144,13 @@ std::vector<uint8_t> EncodeSignalProgressive(const std::vector<double>& signal,
   out.PutVarint(original_len);
   out.PutVarint(padded_len);
   out.PutF64(options.quant_step);
-  out.PutF64(retained_energy);
-  out.PutF64(dropped_energy);
+  out.PutU8(MagnitudeCode(dropped_max, options.quant_step));
   out.PutVarint(entries.size());
   out.PutVarint(num_levels);
   for (size_t level = 0; level < num_levels; ++level) {
     out.PutVarint(level_counts[level]);
     out.PutVarint(level_ends[level]);
+    out.PutU8(MagnitudeCode(level_max[level], options.quant_step));
   }
   out.PutBytes(payload.data().data(), payload.size());
   return std::move(out).TakeData();
@@ -142,17 +158,17 @@ std::vector<uint8_t> EncodeSignalProgressive(const std::vector<double>& signal,
 
 namespace {
 
-// HWV3 header plus the derived payload geometry.
+// HWV4 header plus the derived payload geometry.
 struct ProgressiveHeader {
   size_t original_len = 0;
   size_t padded_len = 0;
   double quant_step = 0;
-  double retained_energy = 0;
-  double dropped_energy = 0;
+  double dropped_max = 0;  // bound on every coefficient dropped at encode
   size_t num_coeffs = 0;
   size_t num_levels = 0;
   std::vector<uint64_t> level_counts;
   std::vector<uint64_t> level_ends;  // payload-relative byte offsets
+  std::vector<double> level_max;     // bound on every |coefficient|
   size_t header_bytes = 0;           // stream offset where payload starts
 };
 
@@ -163,18 +179,16 @@ Status ReadProgressiveHeader(ByteReader* reader, ProgressiveHeader* h) {
     return Status::Corruption("not a progressive wavelet stream (bad magic)");
   }
   uint64_t original_len = 0, padded_len = 0, num_coeffs = 0, num_levels = 0;
+  uint8_t code = 0;
   HEDC_RETURN_IF_ERROR(reader->GetVarint(&original_len));
   HEDC_RETURN_IF_ERROR(reader->GetVarint(&padded_len));
   HEDC_RETURN_IF_ERROR(reader->GetF64(&h->quant_step));
-  HEDC_RETURN_IF_ERROR(reader->GetF64(&h->retained_energy));
-  HEDC_RETURN_IF_ERROR(reader->GetF64(&h->dropped_energy));
+  HEDC_RETURN_IF_ERROR(reader->GetU8(&code));
   HEDC_RETURN_IF_ERROR(reader->GetVarint(&num_coeffs));
   HEDC_RETURN_IF_ERROR(reader->GetVarint(&num_levels));
   if (padded_len == 0 || padded_len > kMaxPaddedLen || !IsPow2(padded_len) ||
       padded_len < original_len || !std::isfinite(h->quant_step) ||
-      h->quant_step <= 0 || !std::isfinite(h->retained_energy) ||
-      h->retained_energy < 0 || !std::isfinite(h->dropped_energy) ||
-      h->dropped_energy < 0) {
+      h->quant_step <= 0) {
     return Status::Corruption("progressive stream header invalid");
   }
   if (num_levels != LevelCount(padded_len) || num_coeffs > padded_len) {
@@ -182,15 +196,19 @@ Status ReadProgressiveHeader(ByteReader* reader, ProgressiveHeader* h) {
   }
   h->original_len = original_len;
   h->padded_len = padded_len;
+  h->dropped_max = MagnitudeCodeValue(code, h->quant_step);
   h->num_coeffs = num_coeffs;
   h->num_levels = num_levels;
   h->level_counts.resize(num_levels);
   h->level_ends.resize(num_levels);
+  h->level_max.resize(num_levels);
   uint64_t total_count = 0;
   uint64_t prev_end = 0;
   for (size_t l = 0; l < num_levels; ++l) {
     HEDC_RETURN_IF_ERROR(reader->GetVarint(&h->level_counts[l]));
     HEDC_RETURN_IF_ERROR(reader->GetVarint(&h->level_ends[l]));
+    HEDC_RETURN_IF_ERROR(reader->GetU8(&code));
+    h->level_max[l] = MagnitudeCodeValue(code, h->quant_step);
     // Level l has at most 2^(l-1) coefficients (1 for level 0).
     uint64_t capacity = l == 0 ? 1 : (1ull << (l - 1));
     if (h->level_counts[l] > capacity || h->level_ends[l] < prev_end) {
@@ -204,6 +222,37 @@ Status ReadProgressiveHeader(ByteReader* reader, ProgressiveHeader* h) {
   }
   h->header_bytes = reader->position();
   return Status::Ok();
+}
+
+// Fills the bound half of `info`: which levels arrived whole, and each
+// coefficient's error bound (see PrefixInfo::coefficient_error).
+void FillErrorBounds(const ProgressiveHeader& header,
+                     const std::vector<bool>& decoded,
+                     const std::vector<uint64_t>& level_decoded,
+                     const std::vector<double>& level_last,
+                     PrefixInfo* info) {
+  double half_step = header.quant_step / 2;
+  std::vector<double> missing(header.num_levels);
+  info->levels_complete = 0;
+  bool complete_so_far = true;
+  for (size_t l = 0; l < header.num_levels; ++l) {
+    bool complete = level_decoded[l] >= header.level_counts[l];
+    double bound = header.level_max[l];
+    if (complete) {
+      bound = std::min(bound, header.dropped_max);
+    } else if (level_decoded[l] > 0) {
+      bound = std::min(bound, level_last[l] + half_step);
+    }
+    missing[l] = bound;
+    complete_so_far = complete_so_far && complete;
+    if (complete_so_far) info->levels_complete = l + 1;
+  }
+  info->level_max = header.level_max;
+  info->coefficient_error.resize(header.padded_len);
+  for (size_t i = 0; i < header.padded_len; ++i) {
+    info->coefficient_error[i] =
+        decoded[i] ? half_step : missing[LevelOfIndex(i)];
+  }
 }
 
 Result<std::vector<double>> DecodeProgressive(const uint8_t* data,
@@ -225,7 +274,16 @@ Result<std::vector<double>> DecodeProgressive(const uint8_t* data,
   size_t limit = std::min(size, header.header_bytes + payload_total);
 
   std::vector<double> coeffs(header.padded_len, 0.0);
-  double decoded_energy = 0;
+  // Bound bookkeeping, only when asked for: which indices arrived, and
+  // per level how many records and the last (smallest) magnitude.
+  std::vector<bool> decoded_at;
+  std::vector<uint64_t> level_decoded;
+  std::vector<double> level_last;
+  if (info != nullptr) {
+    decoded_at.assign(header.padded_len, false);
+    level_decoded.assign(header.num_levels, 0);
+    level_last.assign(header.num_levels, 0.0);
+  }
   size_t decoded = 0;
   while (decoded < max_coeffs && decoded < header.num_coeffs &&
          reader.position() < limit) {
@@ -244,7 +302,12 @@ Result<std::vector<double>> DecodeProgressive(const uint8_t* data,
     }
     double value = static_cast<double>(quantized) * header.quant_step;
     coeffs[index] = value;
-    decoded_energy += value * value;
+    if (info != nullptr) {
+      size_t level = LevelOfIndex(index);
+      decoded_at[index] = true;
+      ++level_decoded[level];
+      level_last[level] = std::fabs(value);
+    }
     ++decoded;
   }
   if (full_stream && max_coeffs >= header.num_coeffs &&
@@ -261,21 +324,7 @@ Result<std::vector<double>> DecodeProgressive(const uint8_t* data,
     info->prefix_bytes = std::min(size, header.header_bytes + payload_total);
     info->full_bytes = header.header_bytes + payload_total;
     info->quant_step = header.quant_step;
-    // Summation order matches the encoder (storage order), so a full
-    // decode cancels exactly; clamp guards rounding on partial decodes.
-    info->undecoded_energy =
-        std::max(0.0, header.retained_energy - decoded_energy);
-    info->dropped_energy = header.dropped_energy;
-    info->levels_complete = 0;
-    size_t cumulative = 0;
-    for (size_t l = 0; l < header.num_levels; ++l) {
-      cumulative += header.level_counts[l];
-      if (decoded >= cumulative) {
-        info->levels_complete = l + 1;
-      } else {
-        break;
-      }
-    }
+    FillErrorBounds(header, decoded_at, level_decoded, level_last, info);
   }
 
   HaarInverse(&coeffs);
@@ -299,6 +348,54 @@ Result<std::vector<double>> DecodeSignalPrefix(const uint8_t* data,
                                                size_t size,
                                                PrefixInfo* info) {
   return DecodeProgressive(data, size, static_cast<size_t>(-1), info);
+}
+
+namespace {
+
+// Number of bins [a, b) and [c, d) share.
+double Overlap(size_t a, size_t b, size_t c, size_t d) {
+  size_t lo = std::max(a, c), hi = std::min(b, d);
+  return hi > lo ? static_cast<double>(hi - lo) : 0.0;
+}
+
+}  // namespace
+
+double PrefixInfo::RangeSumErrorBound(size_t from, size_t to) const {
+  to = std::min(to, padded_len);
+  if (from >= to) return 0;
+  double n = static_cast<double>(to - from);
+  double len = static_cast<double>(padded_len);
+  // The scaling coefficient's basis is 1/sqrt(N) on every bin; `path`
+  // accumulates, level by level, a bound on any bin's
+  // sum_k |c_k| |psi_k(i)| (every bin lies in one support per level).
+  double bound = coefficient_error[0] * n / std::sqrt(len);
+  double path = (level_max[0] + quant_step) / std::sqrt(len);
+  for (size_t level = 1; level < levels_total; ++level) {
+    size_t width = padded_len >> (level - 1);
+    size_t half = width / 2;
+    size_t first = size_t{1} << (level - 1);
+    double norm = 1 / std::sqrt(static_cast<double>(width));
+    path += (level_max[level] + quant_step) * norm;
+    // Supports wholly inside [from, to) sum to zero against the range;
+    // only the ones holding `from` or `to - 1` can straddle it.
+    size_t lo = from / width, hi = (to - 1) / width;
+    for (size_t j : {lo, hi}) {
+      size_t start = j * width, mid = start + half;
+      double plus = Overlap(from, to, start, mid);
+      double minus = Overlap(from, to, mid, start + width);
+      bound += coefficient_error[first + j] * std::fabs(plus - minus) * norm;
+      if (hi == lo) break;
+    }
+  }
+  // Floating point: the encoder's forward transform and the decoder's
+  // inverse each leave every bin off by at most ~3L ulps of `path`
+  // (L butterfly steps), the forward error spreads over the L + 1
+  // supports holding a bin, and summing n bins adds n ulps per bin. The
+  // bound's own arithmetic is covered by the relative term.
+  double eps = std::numeric_limits<double>::epsilon();
+  double levels = static_cast<double>(levels_total) + 1;
+  return bound * (1 + 4 * levels * eps) +
+         eps * n * path * (3 * levels * levels + n);
 }
 
 Result<size_t> ResolutionLevels(const std::vector<uint8_t>& stream) {

@@ -1,24 +1,24 @@
 // Progressive wavelet codec.
 //
-// One 1-D stream format, HWV3 (EncodeSignalProgressive): Haar transform,
+// One 1-D stream format, HWV4 (EncodeSignalProgressive): Haar transform,
 // threshold, quantize, then varint coefficient records ordered by
 // resolution level and by decreasing magnitude within each level, with a
 // per-level byte-offset table in the header. Any *byte* prefix of the
 // stream is decodable on its own, so one stored stream serves every
 // resolution: a server slices the first K bytes and the client
-// reconstructs the best K-byte approximation plus a deterministic error
-// bound from the energy accounting carried in the header ("the client
-// works on approximated and aggregated versions of the original data",
-// §6.3). Decoding the full stream is lossless up to quantization: the
-// samples are exactly HaarInverse of the retained, quantized
-// coefficients.
+// reconstructs the best K-byte approximation plus a deterministic bound
+// on any range sum, from the per-level coefficient maxima carried in the
+// header ("the client works on approximated and aggregated versions of
+// the original data", §6.3). Decoding the full stream is lossless up to
+// quantization: the samples are exactly HaarInverse of the retained,
+// quantized coefficients.
 //
 // HWV2 (EncodeImage2d) is the 2-D format of the StreamCorder's image
 // previews.
 #ifndef HEDC_WAVELET_CODEC_H_
 #define HEDC_WAVELET_CODEC_H_
 
-#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -34,33 +34,27 @@ struct CodecOptions {
   double threshold = 0.0;
 };
 
-// Decodes an HWV3 stream using roughly the first `fraction` (0..1] of
+// Decodes an HWV4 stream using roughly the first `fraction` (0..1] of
 // its coefficients, counted in stored (level-major) order. fraction >= 1
 // uses everything; fraction <= 0 uses none.
 Result<std::vector<double>> DecodeSignal(const std::vector<uint8_t>& stream,
                                          double fraction = 1.0);
 
-// Number of coefficients retained in an HWV3 stream (post-threshold).
+// Number of coefficients retained in an HWV4 stream (post-threshold).
 Result<size_t> CoefficientCount(const std::vector<uint8_t>& stream);
 
 // Relative L2 error between two signals (||a-b|| / ||a||; 0 when a == 0).
 double RelativeL2Error(const std::vector<double>& reference,
                        const std::vector<double>& approximation);
 
-// --- prefix-decodable progressive streams (HWV3) -----------------------
+// --- prefix-decodable progressive streams (HWV4) -----------------------
 
-// What a byte-prefix decode reconstructed, plus the energy accounting
-// needed for deterministic error bars. With the orthonormal Haar basis
-// the L2 norm of the reconstruction residual equals the L2 norm of the
-// missing coefficients, so the header's energy totals turn a truncated
-// stream into a *bounded* approximation:
-//   ||x - x_hat||_2 <= sqrt(undecoded) + sqrt(dropped)
-//                      + (quant_step / 2) * sqrt(coeffs_total)
-// (triangle inequality over the three residual components: retained
-// coefficients missing from the prefix, coefficients dropped at encode
-// time, and per-coefficient quantization error). Range aggregates follow
-// by Cauchy-Schwarz: |sum over R of (x_i - x_hat_i)| <=
-// sqrt(|R|) * L2ErrorBound().
+// What a byte-prefix decode reconstructed, plus what bounds its error.
+// The basis is orthonormal Haar, so the residual x - x_hat is
+// sum_k (c_k - c_hat_k) psi_k and a range sum over bins R is off by at
+// most sum_k coefficient_error[k] * |<1_R, psi_k>|. Only the supports
+// that straddle an endpoint of R have a nonzero inner product — at most
+// two per level — so RangeSumErrorBound costs O(levels).
 struct PrefixInfo {
   size_t original_len = 0;
   size_t padded_len = 0;
@@ -71,27 +65,27 @@ struct PrefixInfo {
   size_t prefix_bytes = 0;    // bytes of the stream actually consumed
   size_t full_bytes = 0;      // header-declared size of the full stream
   double quant_step = 0;
-  double undecoded_energy = 0; // retained energy missing from the prefix
-  double dropped_energy = 0;   // energy discarded at encode time
+  // Per level: the header's bound on every |coefficient| of the level.
+  std::vector<double> level_max;
+  // Per coefficient index: a bound on |c_k - c_hat_k|. quant_step / 2
+  // for a decoded coefficient; for a missing one, the level's maximum,
+  // capped by the drop bound when the level arrived whole, or by the
+  // level's last decoded magnitude + quant_step / 2 when the prefix
+  // split it (records are stored in decreasing magnitude).
+  std::vector<double> coefficient_error;
 
-  // Upper bound on ||original - reconstruction||_2.
-  double L2ErrorBound() const {
-    return std::sqrt(undecoded_energy) + std::sqrt(dropped_energy) +
-           (quant_step / 2) * std::sqrt(static_cast<double>(coeffs_total));
-  }
-  // Upper bound on |sum over any `range_bins` bins of the residual|.
-  double SumErrorBound(size_t range_bins) const {
-    return std::sqrt(static_cast<double>(range_bins)) * L2ErrorBound();
-  }
+  // Upper bound on |sum over bins [from, to) of (x - x_hat)|, including
+  // the floating-point error of the transforms and of the summation.
+  double RangeSumErrorBound(size_t from, size_t to) const;
 };
 
 // Encodes `signal` (any length; padded internally) as a
-// prefix-decodable HWV3 stream (level-major coefficient order, per-level
-// byte offsets, energy accounting).
+// prefix-decodable HWV4 stream (level-major coefficient order, per-level
+// byte offsets and coefficient maxima).
 std::vector<uint8_t> EncodeSignalProgressive(
     const std::vector<double>& signal, const CodecOptions& options = {});
 
-// Number of resolution levels in an HWV3 stream: level 0 is the single
+// Number of resolution levels in an HWV4 stream: level 0 is the single
 // scaling (DC) coefficient, level l adds detail indices [2^(l-1), 2^l).
 Result<size_t> ResolutionLevels(const std::vector<uint8_t>& stream);
 
@@ -106,7 +100,7 @@ Result<size_t> PrefixBytesForLevel(const std::vector<uint8_t>& stream,
 Result<std::vector<uint8_t>> SlicePrefixForLevel(
     const std::vector<uint8_t>& stream, size_t level);
 
-// Decodes the first `size` bytes of an HWV3 stream. The header must be
+// Decodes the first `size` bytes of an HWV4 stream. The header must be
 // complete; coefficient records are consumed while they fit (a record
 // split by the prefix boundary is ignored, not an error — that is the
 // expected shape of a truncated delivery). Corruption is still detected:

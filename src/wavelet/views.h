@@ -31,7 +31,7 @@ class PartitionedView {
 
   // Builds the view from (position, value) samples: samples are binned
   // (summed) over the domain, then each partition is encoded as a
-  // prefix-decodable progressive (HWV3) stream.
+  // prefix-decodable progressive (HWV4) stream.
   static Result<PartitionedView> Build(
       const std::vector<std::pair<double, double>>& samples,
       const Options& options);

@@ -579,7 +579,7 @@ Result<std::vector<uint8_t>> FetchViewPrefix(dm::DataManager* dm,
 }
 
 // /view?unit=ID[&resolution=R][&kind=count|energy]: progressive wavelet
-// delivery. Ships the prefix of the unit's stored HWV3 stream covering
+// delivery. Ships the prefix of the unit's stored HWV4 stream covering
 // resolution levels 0..R; absent R uses wavelet.default_resolution
 // (-1 = full fidelity). Clients decode any prefix with
 // DecodeSignalPrefix and refine coarse-to-fine by re-requesting at
@@ -693,14 +693,16 @@ class ApproxServlet : public Servlet {
       method = "exact";
     }
     MetricsRegistry::Default()->GetCounter("web.approx.requests")->Add();
+    analysis::PrintedAnswer printed = analysis::PrintSixDecimals(answer);
     HttpResponse response;
     response.content_type = "application/json";
     response.body = StrFormat(
-        "{\"unit\":%lld,\"agg\":\"%s\",\"estimate\":%.6f,"
-        "\"error_bound\":%.6f,\"bins\":%zu,\"bytes_read\":%zu,"
+        "{\"unit\":%lld,\"agg\":\"%s\",\"estimate\":%s,"
+        "\"error_bound\":%s,\"bins\":%zu,\"bytes_read\":%zu,"
         "\"resolution\":%lld,\"method\":\"%s\"}",
-        static_cast<long long>(unit_id), agg.c_str(), answer.estimate,
-        answer.error_bound, answer.bins, answer.bytes_read,
+        static_cast<long long>(unit_id), agg.c_str(),
+        printed.estimate.c_str(), printed.error_bound.c_str(), answer.bins,
+        answer.bytes_read,
         static_cast<long long>(level), method.c_str());
     return response;
   }

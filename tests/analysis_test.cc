@@ -1,17 +1,20 @@
 // Analysis routines and products.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-
 #include <cstdint>
+#include <cstdlib>
 #include <initializer_list>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/approx.h"
 #include "analysis/routine.h"
 #include "core/rng.h"
+#include "rhessi/raw_unit.h"
 #include "rhessi/telemetry.h"
 #include "wavelet/codec.h"
 
@@ -282,6 +285,191 @@ TEST(ApproxTest, ApproxSumFromPrefixWithinBound) {
   // Garbage bytes are a clean error.
   std::vector<uint8_t> garbage = {1, 2, 3};
   EXPECT_FALSE(ApproxSumFromPrefix(garbage.data(), garbage.size(), 0, 1).ok());
+}
+
+// /approx prints six decimals. The printed interval must hold the
+// computed one, which at full resolution is only ~1e-6 wide: the bound
+// absorbs the estimate's rounding and is rounded up, never to nearest.
+TEST(ApproxTest, PrintedIntervalHoldsTheComputedOne) {
+  Rng rng(43);
+  for (int i = 0; i < 20000; ++i) {
+    ApproxAnswer answer;
+    answer.estimate = rng.Uniform(-1000, 1000) /
+                      static_cast<double>(int64_t{1} << rng.UniformInt(0, 30));
+    answer.error_bound = rng.Uniform(0, 1e-5) *
+                         static_cast<double>(int64_t{1} << rng.UniformInt(0, 20));
+    PrintedAnswer printed = PrintSixDecimals(answer);
+    long double estimate = std::strtod(printed.estimate.c_str(), nullptr);
+    long double bound = std::strtod(printed.error_bound.c_str(), nullptr);
+    long double lo = static_cast<long double>(answer.estimate) -
+                     answer.error_bound;
+    long double hi = static_cast<long double>(answer.estimate) +
+                     answer.error_bound;
+    EXPECT_LE(estimate - bound, lo + 1e-15L)
+        << printed.estimate << " ± " << printed.error_bound;
+    EXPECT_GE(estimate + bound, hi - 1e-15L)
+        << printed.estimate << " ± " << printed.error_bound;
+  }
+  // Rounded to nearest, this would print 0.000000 ± 0.000001, which
+  // misses the computed interval's top end 1.5999e-6.
+  ApproxAnswer tiny;
+  tiny.estimate = 4.999e-7;
+  tiny.error_bound = 1.1e-6;
+  EXPECT_EQ(PrintSixDecimals(tiny).estimate, "0.000000");
+  EXPECT_EQ(PrintSixDecimals(tiny).error_bound, "0.000002");
+  // An exact answer keeps bound 0.
+  ApproxAnswer exact;
+  exact.estimate = 12.3456789;
+  EXPECT_EQ(PrintSixDecimals(exact).estimate, "12.345679");
+  EXPECT_EQ(PrintSixDecimals(exact).error_bound, "0.000000");
+}
+
+// The count and energy views ProcessLayer stores for a unit: 1024 bins
+// over [t_start, t_stop + 1e-6).
+struct UnitViews {
+  std::vector<double> counts = std::vector<double>(1024, 0.0);
+  std::vector<double> energies = std::vector<double>(1024, 0.0);
+};
+
+UnitViews BinUnit(const rhessi::RawDataUnit& unit) {
+  UnitViews views;
+  double lo = unit.t_start;
+  double width = (unit.t_stop + 1e-6 - lo) / 1024.0;
+  for (const rhessi::PhotonEvent& p : unit.photons) {
+    size_t b = std::min<size_t>(
+        static_cast<size_t>((p.time_sec - lo) / width), 1023);
+    views.counts[b] += 1.0;
+    views.energies[b] += p.energy_kev;
+  }
+  return views;
+}
+
+std::vector<rhessi::RawDataUnit> TelemetryUnits(uint64_t seed,
+                                                double duration_sec,
+                                                size_t photons_per_unit) {
+  rhessi::TelemetryOptions options;
+  options.duration_sec = duration_sec;
+  options.flares_per_hour = 9;
+  options.saa_per_hour = 0;
+  options.seed = seed;
+  return rhessi::SegmentIntoUnits(rhessi::GenerateTelemetry(options).photons,
+                                  photons_per_unit);
+}
+
+// Bins [lo, hi) as /approx asks for them: fractions at mid-bin, so the
+// floor/ceil in ApproxSumFromPrefix lands exactly on the bin range.
+Result<ApproxAnswer> ApproxBins(const std::vector<uint8_t>& prefix,
+                                size_t lo, size_t hi) {
+  return ApproxSumFromPrefix(prefix.data(), prefix.size(),
+                             (static_cast<double>(lo) + 0.5) / 1024.0,
+                             (static_cast<double>(hi) - 0.5) / 1024.0);
+}
+
+// The bound is a theorem, so check it as a property: |estimate - exact|
+// <= error_bound against the exact binned sum, over seeds, both views,
+// two encodings (the stored one, and a coarse quantizer with a threshold
+// so dropped coefficients and split levels matter), every level-aligned
+// prefix and byte prefixes that split a level, and ranges of every shape
+// that matters to the straddling-support argument.
+TEST(ApproxTest, RangeBoundHoldsAcrossSeedsLevelsAndRanges) {
+  wavelet::CodecOptions coarse;
+  coarse.quant_step = 1e-2;
+  coarse.threshold = 0.5;
+  size_t checks = 0;
+  for (uint64_t seed : {1u, 2u, 3u, 5u}) {
+    Rng rng(seed * 7919);
+    for (const rhessi::RawDataUnit& unit : TelemetryUnits(seed, 900, 60000)) {
+      UnitViews views = BinUnit(unit);
+      for (const std::vector<double>* signal :
+           {&views.counts, &views.energies}) {
+        for (const wavelet::CodecOptions& options :
+             {wavelet::CodecOptions{}, coarse}) {
+          std::vector<uint8_t> stream =
+              wavelet::EncodeSignalProgressive(*signal, options);
+          // Level-aligned prefixes, and one prefix splitting each level.
+          std::vector<size_t> sizes;
+          size_t previous = 0;
+          for (size_t level = 0; level <= 10; ++level) {
+            size_t bytes =
+                wavelet::PrefixBytesForLevel(stream, level).value();
+            if (level > 0) sizes.push_back((previous + bytes) / 2);
+            sizes.push_back(bytes);
+            previous = bytes;
+          }
+          for (size_t size : sizes) {
+            std::vector<uint8_t> prefix(stream.begin(),
+                                        stream.begin() + size);
+            std::vector<std::pair<size_t, size_t>> ranges = {
+                {0, 1024}, {0, 1}, {1023, 1024}, {511, 513}};
+            for (int r = 0; r < 6; ++r) {
+              size_t at = static_cast<size_t>(rng.UniformInt(0, 1023));
+              ranges.push_back({at, at + 1});
+              size_t len = static_cast<size_t>(rng.UniformInt(2, 700));
+              size_t lo = static_cast<size_t>(rng.UniformInt(0, 1024 - len));
+              ranges.push_back({lo, lo + len});
+              // Endpoints on the support boundaries of some level.
+              size_t width = size_t{1} << rng.UniformInt(1, 9);
+              size_t a = width * static_cast<size_t>(
+                                     rng.UniformInt(0, 1024 / width - 1));
+              size_t b = width * static_cast<size_t>(
+                                     rng.UniformInt(a / width + 1,
+                                                    1024 / width));
+              ranges.push_back({a, b});
+            }
+            for (auto [lo, hi] : ranges) {
+              Result<ApproxAnswer> answer = ApproxBins(prefix, lo, hi);
+              ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+              ASSERT_EQ(answer.value().bins, hi - lo);
+              long double exact = 0;
+              for (size_t b = lo; b < hi; ++b) exact += (*signal)[b];
+              EXPECT_LE(std::fabs(static_cast<double>(
+                            exact - answer.value().estimate)),
+                        answer.value().error_bound)
+                  << "seed " << seed << " unit " << unit.unit_id
+                  << (signal == &views.counts ? " counts" : " energies")
+                  << " q " << options.quant_step << " prefix " << size
+                  << "/" << stream.size() << " bins [" << lo << "," << hi
+                  << ")";
+              ++checks;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checks, 10000u);
+}
+
+// Tight enough to be useful: at the default /approx resolution (level 3)
+// the bound on ranges drawn like the dashboard workload's is well under
+// a third of the answer. The whole-residual Cauchy-Schwarz bound it
+// replaced sat near 0.59 here.
+TEST(ApproxTest, RangeBoundIsTightAtLevelThree) {
+  Rng rng(5);
+  std::vector<double> ratios;
+  for (const rhessi::RawDataUnit& unit : TelemetryUnits(5, 3600, 200000)) {
+    UnitViews views = BinUnit(unit);
+    for (const std::vector<double>* signal :
+         {&views.counts, &views.energies}) {
+      std::vector<uint8_t> prefix = wavelet::SlicePrefixForLevel(
+          wavelet::EncodeSignalProgressive(*signal), 3).value();
+      for (int r = 0; r < 60; ++r) {
+        size_t len = static_cast<size_t>(rng.UniformInt(8, 512));
+        size_t lo = static_cast<size_t>(rng.UniformInt(0, 1024 - len));
+        Result<ApproxAnswer> answer = ApproxBins(prefix, lo, lo + len);
+        ASSERT_TRUE(answer.ok());
+        double exact = 0;
+        for (size_t b = lo; b < lo + len; ++b) exact += (*signal)[b];
+        if (exact != 0) {
+          ratios.push_back(answer.value().error_bound / std::fabs(exact));
+        }
+      }
+    }
+  }
+  ASSERT_GT(ratios.size(), 500u);
+  std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
+                   ratios.end());
+  EXPECT_LE(ratios[ratios.size() / 2], 0.3);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // semantic layer, processes, redirection.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -602,6 +603,31 @@ TEST_F(ProcessTest, LoadRawUnitCreatesEverything) {
   auto members = dm_->semantics().ListCatalogHles(
       bob_, catalog.value().catalog_id);
   EXPECT_EQ(members.value().size(), report.value().hle_ids.size());
+}
+
+// Each unit is searched over its own span. A unit that starts late in
+// the observation must neither become one unit-long "flare" nor gain a
+// quiet event covering the time before its first photon.
+TEST_F(ProcessTest, EveryHleLiesInsideItsUnit) {
+  std::vector<rhessi::RawDataUnit> units = rhessi::SegmentIntoUnits(
+      telemetry_.photons, telemetry_.photons.size() / 4 + 1, 1);
+  ASSERT_EQ(units.size(), 4u);
+  for (const rhessi::RawDataUnit& unit : units) {
+    auto report = process_->LoadRawUnit(root_, unit.Pack());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    for (int64_t hle_id : report.value().hle_ids) {
+      auto hle = dm_->semantics().GetHle(root_, hle_id);
+      ASSERT_TRUE(hle.ok());
+      // Events are whole 1-s bins counted from the first photon's second.
+      EXPECT_GE(hle.value().t_start, std::floor(unit.t_start))
+          << "unit " << unit.unit_id << " " << hle.value().event_type;
+      EXPECT_LE(hle.value().t_end, unit.t_stop + 1.0)
+          << "unit " << unit.unit_id << " " << hle.value().event_type;
+      EXPECT_LT(hle.value().photon_count,
+                static_cast<int64_t>(unit.photons.size()))
+          << "unit " << unit.unit_id << " " << hle.value().event_type;
+    }
+  }
 }
 
 TEST_F(ProcessTest, LoadRejectsGarbageWithoutSideEffects) {

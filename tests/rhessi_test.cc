@@ -376,6 +376,33 @@ TEST(EventDetectTest, QuietPeriodsDetected) {
   EXPECT_TRUE(found_quiet);
 }
 
+// Detection depends on the photons, not on where the mission clock
+// stood: the same photons an hour later yield the same events an hour
+// later. (Binning from t = 0 used to turn the leading empty hour into a
+// zero median background and a quiet event outside the photons' span.)
+TEST(EventDetectTest, ShiftedPhotonsShiftEventsOnly) {
+  TelemetryOptions options;
+  options.duration_sec = 1800;
+  options.flares_per_hour = 8;
+  options.saa_per_hour = 0;
+  options.seed = 21;
+  Telemetry t = GenerateTelemetry(options);
+  std::vector<DetectedEvent> base = DetectEvents(t.photons);
+  ASSERT_FALSE(base.empty());
+  PhotonList shifted = t.photons;
+  for (PhotonEvent& p : shifted) p.time_sec += 3600.0;
+  std::vector<DetectedEvent> moved = DetectEvents(shifted);
+  ASSERT_EQ(moved.size(), base.size());
+  for (size_t i = 0; i < base.size(); ++i) {
+    EXPECT_EQ(moved[i].kind, base[i].kind) << "event " << i;
+    EXPECT_NEAR(moved[i].t_start, base[i].t_start + 3600.0, 1e-6);
+    EXPECT_NEAR(moved[i].t_end, base[i].t_end + 3600.0, 1e-6);
+    EXPECT_EQ(moved[i].photon_count, base[i].photon_count);
+    EXPECT_EQ(moved[i].peak_rate, base[i].peak_rate);
+    EXPECT_DOUBLE_EQ(moved[i].peak_energy_kev, base[i].peak_energy_kev);
+  }
+}
+
 TEST(EventDetectTest, EmptyInput) {
   EXPECT_TRUE(DetectEvents({}).empty());
 }

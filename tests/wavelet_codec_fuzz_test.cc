@@ -5,6 +5,7 @@
 // hostile length fields.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -87,6 +88,87 @@ TEST(CodecFuzzTest, LegacyHwv1MagicIsCorruption) {
   EXPECT_EQ(prefix.status().code(), StatusCode::kCorruption);
 }
 
+// HWV4 replaced HWV3 (energy totals gave way to per-level maxima). Every
+// ingest and recalibration rebuilds the stored views, so a stream in the
+// retired layout is refused, never decoded with a wrong bound.
+TEST(CodecFuzzTest, RetiredHwv3StreamIsCorruption) {
+  ByteBuffer buf;
+  buf.PutU32(0x48575633);  // "HWV3"
+  buf.PutVarint(1);        // original_len
+  buf.PutVarint(1);        // padded_len
+  buf.PutF64(1e-6);        // quant_step
+  buf.PutF64(1.0);         // retained energy
+  buf.PutF64(0.0);         // dropped energy
+  buf.PutVarint(1);        // one coefficient,
+  buf.PutVarint(1);        // one level:
+  buf.PutVarint(1);        //   count
+  buf.PutVarint(4);        //   end offset
+  buf.PutVarint(0);        // record: index 0 (DC),
+  buf.PutSignedVarint(1000000);
+  std::vector<uint8_t> retired = buf.data();
+
+  auto decoded = DecodeSignal(retired, 1.0);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  auto count = CoefficientCount(retired);
+  ASSERT_FALSE(count.ok());
+  EXPECT_EQ(count.status().code(), StatusCode::kCorruption);
+  auto prefix = DecodeSignalPrefix(retired);
+  ASSERT_FALSE(prefix.ok());
+  EXPECT_EQ(prefix.status().code(), StatusCode::kCorruption);
+}
+
+// The header ends with the last level's maximum byte, so the shortest
+// decodable prefix is the whole header, and a cut anywhere before it —
+// inside the maxima included — is kCorruption, not a decode with a
+// made-up bound.
+TEST(CodecFuzzTest, TruncatedLevelMaximaAreCorruption) {
+  Rng rng(108);
+  std::vector<uint8_t> stream =
+      EncodeSignalProgressive(RandomSignal(&rng, 64));
+  size_t header = 0;
+  while (header < stream.size() &&
+         !DecodeSignalPrefix(stream.data(), header).ok()) {
+    ++header;
+  }
+  // Magic, quant_step and seven (count, end, maximum) entries at least.
+  ASSERT_GE(header, 4u + 8u + 7u * 3u);
+  ASSERT_LT(header, stream.size());
+  for (size_t size = 0; size < header; ++size) {
+    auto decoded = DecodeSignalPrefix(stream.data(), size);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+        << "header cut at " << size;
+  }
+}
+
+// A maximum is a code byte, not a float: no byte value stands for a
+// non-finite or negative bound. Every code decodes, and its bound is
+// finite and positive.
+TEST(CodecFuzzTest, EveryLevelMaximumCodeGivesAFiniteBound) {
+  for (int code = 0; code < 256; ++code) {
+    ByteBuffer buf;
+    buf.PutU32(0x48575634);  // "HWV4"
+    buf.PutVarint(2);        // original_len
+    buf.PutVarint(2);        // padded_len
+    buf.PutF64(1e-6);        // quant_step
+    buf.PutU8(static_cast<uint8_t>(code));  // dropped maximum
+    buf.PutVarint(0);        // no coefficients
+    buf.PutVarint(2);        // two levels, each: count, end, maximum
+    for (int level = 0; level < 2; ++level) {
+      buf.PutVarint(0);
+      buf.PutVarint(0);
+      buf.PutU8(static_cast<uint8_t>(code));
+    }
+    PrefixInfo info;
+    auto decoded = DecodeSignalPrefix(buf.data(), &info);
+    ASSERT_TRUE(decoded.ok()) << "code " << code;
+    double bound = info.RangeSumErrorBound(0, 2);
+    EXPECT_TRUE(std::isfinite(bound)) << "code " << code;
+    EXPECT_GT(bound, 0) << "code " << code;
+  }
+}
+
 TEST(CodecFuzzTest, BitFlipsNeverCrash) {
   Rng rng(103);
   std::vector<double> signal = RandomSignal(&rng, 400);
@@ -135,12 +217,12 @@ TEST(CodecFuzzTest, HostileLengthFieldsRejected) {
     buf.PutVarint(original);
     buf.PutVarint(padded);
     buf.PutF64(1e-6);  // quant_step
-    buf.PutF64(1.0);   // retained energy
-    buf.PutF64(0.0);   // dropped energy
+    buf.PutU8(0);      // dropped-coefficient maximum
     buf.PutVarint(num_coeffs);
     buf.PutVarint(1);  // num_levels
     buf.PutVarint(num_coeffs);
     buf.PutVarint(2 * num_coeffs);
+    buf.PutU8(0);      // level maximum
     return buf.data();
   };
 
@@ -202,13 +284,13 @@ TEST(CodecFuzzTest, InconsistentLevelTablesRejected) {
     buf.PutVarint(64);   // original_len
     buf.PutVarint(64);   // padded_len
     buf.PutF64(1e-6);
-    buf.PutF64(1.0);
-    buf.PutF64(0.0);
+    buf.PutU8(0);
     buf.PutVarint(num_coeffs);
     buf.PutVarint(levels.size());
     for (auto [count, end] : levels) {
       buf.PutVarint(count);
       buf.PutVarint(end);
+      buf.PutU8(0);
     }
     return buf.data();
   };

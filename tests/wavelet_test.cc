@@ -229,7 +229,7 @@ TEST(PartitionedViewTest, InvalidOptionsRejected) {
   EXPECT_FALSE(PartitionedView::Build(samples, options).ok());
 }
 
-// --- HWV3 progressive streams ------------------------------------------
+// --- HWV4 progressive streams ------------------------------------------
 
 std::vector<double> FlareLikeSignal(size_t n, uint64_t seed) {
   Rng rng(seed);
@@ -252,6 +252,25 @@ double L2Residual(const std::vector<double>& a,
   size_t n = std::min(a.size(), b.size());
   for (size_t i = 0; i < n; ++i) e += (a[i] - b[i]) * (a[i] - b[i]);
   return std::sqrt(e);
+}
+
+// Every single-bin sum and the whole-signal sum of a prefix decode lie
+// within the prefix's range bound (exact sums in long double).
+void ExpectRangeSumsWithinBound(const std::vector<double>& signal,
+                                const std::vector<double>& decoded,
+                                const PrefixInfo& info,
+                                const std::string& where) {
+  long double total_error = 0;
+  for (size_t i = 0; i < signal.size(); ++i) {
+    long double error = static_cast<long double>(signal[i]) - decoded[i];
+    total_error += error;
+    EXPECT_LE(std::fabs(static_cast<double>(error)),
+              info.RangeSumErrorBound(i, i + 1))
+        << where << " bin " << i;
+  }
+  EXPECT_LE(std::fabs(static_cast<double>(total_error)),
+            info.RangeSumErrorBound(0, signal.size()))
+      << where << " whole signal";
 }
 
 // The differential guarantee: a full-fidelity decode of the progressive
@@ -293,30 +312,39 @@ TEST(ProgressiveCodecTest, FullDecodeBitIdenticalToLegacyFormat) {
   }
 }
 
-// HWV3 bytes are stored view files and cache keys' content: the encoder
-// must keep emitting exactly these streams (digests recorded from the
-// loop-based level lookup the bit-width one replaced).
+// Stream bytes are stored view files and cache keys' content: the
+// encoder must keep emitting exactly these streams. The coefficient
+// records (the tail after the header) are digests recorded from the HWV3
+// encoder, whose payload HWV4 keeps byte for byte; the whole-stream
+// digests pin the HWV4 header.
 TEST(ProgressiveCodecTest, EncoderBytesMatchRecordedDigests) {
   auto digest = [](const std::vector<uint8_t>& bytes) {
     return Fnv1a64(bytes.data(), bytes.size());
   };
+  auto payload_digest = [](const std::vector<uint8_t>& bytes,
+                           size_t payload) {
+    return Fnv1a64(bytes.data() + bytes.size() - payload, payload);
+  };
   std::vector<double> flare = FlareLikeSignal(1000, 3);
   std::vector<uint8_t> a = EncodeSignalProgressive(flare);
-  EXPECT_EQ(a.size(), 5199u);
-  EXPECT_EQ(digest(a), 0x0240a5cdd670843cull);
+  EXPECT_EQ(a.size(), 5195u);
+  EXPECT_EQ(digest(a), 0xfe625f6c939ee031ull);
+  EXPECT_EQ(payload_digest(a, 5134), 0xdf7808c0835ee3e9ull);
   CodecOptions coarse;
   coarse.quant_step = 1e-3;
   std::vector<uint8_t> b = EncodeSignalProgressive(flare, coarse);
-  EXPECT_EQ(b.size(), 3941u);
-  EXPECT_EQ(digest(b), 0xac5b2402251dce00ull);
+  EXPECT_EQ(b.size(), 3937u);
+  EXPECT_EQ(digest(b), 0xeaf59b604ed89567ull);
+  EXPECT_EQ(payload_digest(b, 3877), 0xc8cd0530a06ffbbcull);
   // Small integer counts: many equal magnitudes exercise the
   // level / magnitude / index ordering.
   Rng rng(11);
   std::vector<double> counts(1024);
   for (double& v : counts) v = static_cast<double>(rng.UniformInt(0, 4));
   std::vector<uint8_t> c = EncodeSignalProgressive(counts);
-  EXPECT_EQ(c.size(), 4786u);
-  EXPECT_EQ(digest(c), 0xebe0ac14da61d929ull);
+  EXPECT_EQ(c.size(), 4782u);
+  EXPECT_EQ(digest(c), 0x371251a225bc62a0ull);
+  EXPECT_EQ(payload_digest(c, 4721), 0x8add9e55f2a31411ull);
 }
 
 TEST(ProgressiveCodecTest, EveryLevelPrefixDecodesWithinBound) {
@@ -325,8 +353,8 @@ TEST(ProgressiveCodecTest, EveryLevelPrefixDecodesWithinBound) {
   options.quant_step = 1e-3;
   std::vector<uint8_t> stream = EncodeSignalProgressive(signal, options);
   ASSERT_GE(stream.size(), 4u);
-  EXPECT_EQ(std::string(stream.begin(), stream.begin() + 4), "3VWH")
-      << "HWV3 magic, little-endian";
+  EXPECT_EQ(std::string(stream.begin(), stream.begin() + 4), "4VWH")
+      << "HWV4 magic, little-endian";
   auto levels = ResolutionLevels(stream);
   ASSERT_TRUE(levels.ok());
   EXPECT_EQ(levels.value(), 11u);  // 1024 padded bins
@@ -347,8 +375,9 @@ TEST(ProgressiveCodecTest, EveryLevelPrefixDecodesWithinBound) {
     ASSERT_TRUE(decoded.ok()) << "level " << level;
     ASSERT_EQ(decoded.value().size(), signal.size());
     EXPECT_GE(info.levels_complete, level + 1);
+    ExpectRangeSumsWithinBound(signal, decoded.value(), info,
+                               "level " + std::to_string(level));
     double error = L2Residual(signal, decoded.value());
-    EXPECT_LE(error, info.L2ErrorBound() + 1e-9) << "level " << level;
     // Refinement never hurts: each level's reconstruction is at least
     // as good as the previous one (up to fp noise).
     EXPECT_LE(error, prev_error + 1e-9);
@@ -368,38 +397,11 @@ TEST(ProgressiveCodecTest, ArbitraryBytePrefixesDecodeOrFailCleanly) {
     auto decoded = DecodeSignalPrefix(stream.data(), size, &info);
     if (!decoded.ok()) continue;  // header incomplete: clean error
     ++decodable;
-    EXPECT_LE(L2Residual(signal, decoded.value()),
-              info.L2ErrorBound() + 1e-9)
-        << "prefix " << size;
+    ExpectRangeSumsWithinBound(signal, decoded.value(), info,
+                               "prefix " + std::to_string(size));
   }
   // Everything past the header decodes.
   EXPECT_GT(decodable, stream.size() / 2);
-}
-
-TEST(ProgressiveCodecTest, SumErrorBoundCoversRangeSums) {
-  std::vector<double> signal = FlareLikeSignal(512, 11);
-  std::vector<uint8_t> stream = EncodeSignalProgressive(signal);
-  Rng rng(17);
-  for (size_t level : {0u, 2u, 4u, 7u}) {
-    PrefixInfo info;
-    auto prefix = SlicePrefixForLevel(stream, level);
-    ASSERT_TRUE(prefix.ok());
-    auto decoded = DecodeSignalPrefix(prefix.value(), &info);
-    ASSERT_TRUE(decoded.ok());
-    for (int round = 0; round < 20; ++round) {
-      size_t lo = static_cast<size_t>(rng.UniformInt(0, 511));
-      size_t hi = static_cast<size_t>(rng.UniformInt(0, 511));
-      if (hi < lo) std::swap(lo, hi);
-      double true_sum = 0, approx_sum = 0;
-      for (size_t i = lo; i <= hi; ++i) {
-        true_sum += signal[i];
-        approx_sum += decoded.value()[i];
-      }
-      EXPECT_LE(std::abs(true_sum - approx_sum),
-                info.SumErrorBound(hi - lo + 1) + 1e-9)
-          << "level " << level << " range [" << lo << "," << hi << "]";
-    }
-  }
 }
 
 PartitionedView MakeTestView(size_t num_partitions) {

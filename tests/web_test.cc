@@ -435,6 +435,52 @@ TEST_F(WebStackTest, ApproxAggregatesStayWithinReportedBound) {
   }
 }
 
+// At full resolution the bound is ~1e-6, the size of the six-decimal
+// printing: the printed interval must hold the exact binned sum with no
+// slack added, so the printed bound covers the estimate's rounding and
+// is itself rounded up.
+TEST_F(WebStackTest, ApproxPrintedIntervalHoldsAtFullResolution) {
+  auto packed = stack_.data_manager->io().ReadItemFile(1);
+  ASSERT_TRUE(packed.ok());
+  auto unit = rhessi::RawDataUnit::Unpack(packed.value());
+  ASSERT_TRUE(unit.ok());
+  // The stored views' binning (ProcessLayer::WriteViewFile).
+  double domain_lo = unit.value().t_start;
+  double domain_hi = unit.value().t_stop + 1e-6;
+  double width = (domain_hi - domain_lo) / 1024.0;
+  std::vector<double> counts(1024, 0.0), kev(1024, 0.0);
+  for (const auto& p : unit.value().photons) {
+    if (p.time_sec < domain_lo || p.time_sec >= domain_hi) continue;
+    size_t b = std::min<size_t>(
+        static_cast<size_t>((p.time_sec - domain_lo) / width), 1023);
+    counts[b] += 1.0;
+    kev[b] += p.energy_kev;
+  }
+  for (size_t lo = 0; lo < 1024; lo += 37) {
+    for (size_t len : {size_t{1}, size_t{3}, size_t{64}}) {
+      size_t hi = std::min<size_t>(lo + len, 1024);
+      for (const char* agg : {"count", "sum"}) {
+        const std::vector<double>& bins =
+            std::string(agg) == "count" ? counts : kev;
+        long double exact = 0;
+        for (size_t b = lo; b < hi; ++b) exact += bins[b];
+        HttpResponse response = stack_.web_server->Dispatch(MakeRequest(
+            StrFormat("/approx?unit=1&agg=%s&t_lo=%.9f&t_hi=%.9f"
+                      "&resolution=10",
+                      agg, domain_lo + (static_cast<double>(lo) + 0.5) * width,
+                      domain_lo + (static_cast<double>(hi) - 0.5) * width)));
+        ASSERT_EQ(response.status_code, 200) << response.body;
+        ASSERT_EQ(JsonNumber(response.body, "bins"), hi - lo);
+        long double estimate = JsonNumber(response.body, "estimate");
+        double bound = JsonNumber(response.body, "error_bound");
+        EXPECT_GT(bound, 0) << response.body;
+        EXPECT_LE(std::fabs(static_cast<double>(estimate - exact)), bound)
+            << agg << " [" << lo << "," << hi << "): " << response.body;
+      }
+    }
+  }
+}
+
 TEST_F(WebStackTest, ApproxFallsBackToExactScan) {
   // Destroy the stored view in place: the servlet must fall back to an
   // exact scan of the raw photons instead of failing.
