@@ -35,14 +35,15 @@ echo "=== progressive-delivery crosscheck (first-paint >= 5x, approx error <= bo
 python3 bench/validate_bench_json.py BENCH_wavelet_progressive.json \
     BENCH_wavelet_approx.json
 
-echo "=== build decoder, query-building and WAL/write-unit tests (HEDC_SANITIZE=address: ASan + UBSan) ==="
+echo "=== build decoder, query-building, access-path/join and WAL/write-unit tests (HEDC_SANITIZE=address: ASan + UBSan) ==="
 asan_tests=(wavelet_test wavelet_codec_fuzz_test analysis_test archive_test
             rhessi_test dm_remote_codec_fuzz_test web_test dm_test
-            db_wal_test db_database_test db_concurrency_test)
+            db_wal_test db_database_test db_concurrency_test
+            db_join_test db_property_test db_explain_test)
 cmake -B build-asan -S . -DHEDC_SANITIZE=address >/dev/null
 cmake --build build-asan -j --target "${asan_tests[@]}"
 
-echo "=== decoder, query-building and WAL/write-unit tests under ASan + UBSan (any finding aborts) ==="
+echo "=== decoder, query-building, access-path/join and WAL/write-unit tests under ASan + UBSan (any finding aborts) ==="
 for t in "${asan_tests[@]}"; do
   build-asan/tests/"$t" --gtest_brief=1
 done

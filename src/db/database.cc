@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "core/config.h"
 #include "core/metrics.h"
 #include "core/strings.h"
 #include "db/join.h"
@@ -162,7 +161,7 @@ Status Database::LogDdl(const WalRecord& record) {
   return wal_enabled_ ? wal_.Append(record) : Status::Ok();
 }
 
-Database::TableEntry* Database::FindEntry(const std::string& name) {
+Database::TableEntry* Database::FindEntry(std::string_view name) {
   auto it = tables_.find(NormalizeName(name));
   return it == tables_.end() ? nullptr : it->second.get();
 }
@@ -188,19 +187,6 @@ std::vector<std::string> Database::TableNames() const {
   return names;
 }
 
-void Database::Configure(const Config& config) {
-  ExecOptions opts = exec_options_;
-  opts.vectorized = config.GetBool("db.vectorized", opts.vectorized);
-  opts.zone_maps = config.GetBool("db.zone_maps", opts.zone_maps);
-  opts.morsel_rows = config.GetInt("db.morsel_rows", opts.morsel_rows);
-  opts.scan_threads =
-      static_cast<int>(config.GetInt("db.scan_threads", opts.scan_threads));
-  opts.join_partitions = static_cast<int>(
-      config.GetInt("db.join_partitions", opts.join_partitions));
-  opts.join_planner = config.GetBool("db.join_planner", opts.join_planner);
-  exec_options_ = opts;
-}
-
 ThreadPool* Database::ScanPool() {
   std::call_once(scan_pool_once_, [this] {
     // One worker fewer than the host so the caller thread (which always
@@ -211,6 +197,39 @@ ThreadPool* Database::ScanPool() {
     scan_pool_ = std::make_unique<ThreadPool>(std::min<size_t>(n, 16));
   });
   return scan_pool_.get();
+}
+
+ScanOptions Database::StatementScanOptions() {
+  ScanOptions opts;
+  opts.zone_maps = exec_options_.zone_maps;
+  opts.threads = exec_options_.scan_threads;
+  opts.pool = exec_options_.scan_threads > 1 ? ScanPool() : nullptr;
+  return opts;
+}
+
+Status Database::LatchTables(const std::vector<std::string_view>& names,
+                             bool exclusive, LatchedTables* out) {
+  for (std::string_view name : names) {
+    TableEntry* entry = FindEntry(name);
+    if (entry == nullptr) {
+      return Status::NotFound("table " + std::string(name));
+    }
+    out->entries.push_back(entry);
+  }
+  std::vector<TableEntry*> order = out->entries;
+  std::sort(order.begin(), order.end(),
+            [](const TableEntry* a, const TableEntry* b) {
+              return ToLower(a->table.name()) < ToLower(b->table.name());
+            });
+  order.erase(std::unique(order.begin(), order.end()), order.end());
+  for (TableEntry* e : order) {
+    if (exclusive) {
+      out->exclusive.emplace_back(e->latch);
+    } else {
+      out->shared.emplace_back(e->latch);
+    }
+  }
+  return Status::Ok();
 }
 
 Result<ResultSet> Database::Execute(std::string_view sql,
@@ -266,31 +285,20 @@ Result<ResultSet> Database::ExecuteUnit(
   ScopedTimer clock(nullptr);
   Result<ResultSet> result = [&]() -> Result<ResultSet> {
     std::shared_lock<std::shared_mutex> catalog(catalog_mu_);
-    std::vector<TableEntry*> entries;  // one per statement
+    std::vector<std::string_view> names;  // one per statement
+    names.reserve(statements.size());
     for (const UnitStatement& s : statements) {
-      const std::string& name = *TargetTable(*s.stmt);
-      TableEntry* entry = FindEntry(name);
-      if (entry == nullptr) return Status::NotFound("table " + name);
-      entries.push_back(entry);
+      names.push_back(*TargetTable(*s.stmt));
     }
-    // Latch each table once, exclusively, in ascending name order.
-    std::vector<TableEntry*> latch_order = entries;
-    std::sort(latch_order.begin(), latch_order.end(),
-              [](const TableEntry* a, const TableEntry* b) {
-                return ToLower(a->table.name()) < ToLower(b->table.name());
-              });
-    latch_order.erase(std::unique(latch_order.begin(), latch_order.end()),
-                      latch_order.end());
-    std::vector<std::unique_lock<std::shared_mutex>> latches;
-    latches.reserve(latch_order.size());
-    for (TableEntry* e : latch_order) latches.emplace_back(e->latch);
+    LatchedTables latched;
+    HEDC_RETURN_IF_ERROR(LatchTables(names, /*exclusive=*/true, &latched));
 
     WriteUnit unit;
     ResultSet last;
     for (size_t i = 0; i < statements.size(); ++i) {
       const Statement& stmt = *statements[i].stmt;
       const std::vector<Value>& params = *statements[i].params;
-      Table* table = &entries[i]->table;
+      Table* table = &latched.entries[i]->table;
       Result<ResultSet> applied =
           stmt.kind == Statement::Kind::kInsert
               ? ExecInsert(table, stmt.insert, params, &unit)
@@ -335,39 +343,85 @@ void Database::Undo(const WriteUnit& unit) {
   }
 }
 
-Status Database::CollectIndexCandidates(Table* table, const Expr* where,
-                                        std::vector<int64_t>* row_ids,
-                                        bool* used_index) {
-  *used_index = false;
-  if (where != nullptr) {
-    std::unordered_map<int, ColumnBounds> bounds = ExtractColumnBounds(where);
-
-    // Prefer an equality-indexed column, then a range-indexed column.
-    for (const auto& [col, b] : bounds) {
-      if (!b.eq.has_value()) continue;
-      const IndexDef* def =
-          table->FindIndex(static_cast<size_t>(col), /*need_range=*/false);
-      if (def == nullptr) continue;
-      table->IndexLookup(*def, *b.eq, row_ids);
-      *used_index = true;
-      stats_.index_scans.fetch_add(1, std::memory_order_relaxed);
-      return Status::Ok();
+Status Database::MatchRows(const Table& table, const Expr* where,
+                           AccessPath path, std::vector<ScanMatch>* out,
+                           GroupedAggregator* agg) {
+  std::vector<ScanMatch> to_aggregate;
+  std::vector<ScanMatch>* sink = agg != nullptr ? &to_aggregate : out;
+  const size_t before = sink->size();
+  ScanStats scan;
+  int64_t stale = 0;
+  Status status = Status::Ok();
+  if (path.kind != AccessPath::Kind::kScan) {
+    stats_.index_scans.fetch_add(1, std::memory_order_relaxed);
+    FetchCandidates(table, &path);
+    sink->reserve(before + path.candidates.size());
+    for (int64_t row_id : path.candidates) {
+      const Row* row = table.Find(row_id);
+      if (row == nullptr) {
+        // The index returned a row id the heap no longer has. Harmless
+        // for this statement (the row is gone) but a symptom worth
+        // counting.
+        ++stale;
+        continue;
+      }
+      ++scan.rows_scanned;
+      if (where != nullptr) {
+        Result<Value> keep = EvalExpr(*where, *row);
+        if (!keep.ok()) {
+          status = keep.status();
+          break;
+        }
+        if (!keep.value().AsBool()) continue;
+      }
+      sink->push_back(ScanMatch{row_id, row});
     }
-    for (const auto& [col, b] : bounds) {
-      if (!b.lo.has_value() && !b.hi.has_value()) continue;
-      const IndexDef* def =
-          table->FindIndex(static_cast<size_t>(col), /*need_range=*/true);
-      if (def == nullptr) continue;
-      table->IndexRange(*def, b.lo, b.lo_inclusive, b.hi, b.hi_inclusive,
-                        row_ids);
-      *used_index = true;
-      stats_.index_scans.fetch_add(1, std::memory_order_relaxed);
-      return Status::Ok();
-    }
+    scan.rows_matched = static_cast<int64_t>(sink->size() - before);
+  } else if (!exec_options_.vectorized) {
+    // The row-at-a-time interpreter: the oracle the vectorized scan is
+    // tested against.
+    stats_.full_scans.fetch_add(1, std::memory_order_relaxed);
+    table.Scan([&](int64_t row_id, const Row& row) {
+      ++scan.rows_scanned;
+      if (where != nullptr) {
+        Result<Value> keep = EvalExpr(*where, row);
+        if (!keep.ok()) {
+          status = keep.status();
+          return false;
+        }
+        if (!keep.value().AsBool()) return true;
+      }
+      sink->push_back(ScanMatch{row_id, &row});
+      return true;
+    });
+    scan.rows_matched = static_cast<int64_t>(sink->size() - before);
+  } else if (agg != nullptr) {
+    // Scan, filter and aggregate per morsel, materializing nothing.
+    stats_.full_scans.fetch_add(1, std::memory_order_relaxed);
+    status = ScanAggregate(table, where, StatementScanOptions(), agg, &scan);
+    agg = nullptr;
+  } else {
+    // Also under a write unit's exclusive latch: the parallel workers
+    // only read the heap.
+    stats_.full_scans.fetch_add(1, std::memory_order_relaxed);
+    status = ScanFilter(table, where, StatementScanOptions(), sink, &scan);
   }
-  // No usable index: the caller streams the heap scan with the predicate
-  // pushed down (rows are visited by reference, survivors copied).
-  stats_.full_scans.fetch_add(1, std::memory_order_relaxed);
+  stats_.rows_examined.fetch_add(scan.rows_scanned, std::memory_order_relaxed);
+  stats_.rows_matched.fetch_add(scan.rows_matched, std::memory_order_relaxed);
+  stats_.morsels_pruned.fetch_add(scan.morsels_pruned,
+                                  std::memory_order_relaxed);
+  RowsScannedCounter()->Add(scan.rows_scanned);
+  RowsMatchedCounter()->Add(scan.rows_matched);
+  if (stale > 0) {
+    stats_.stale_index_entries.fetch_add(stale, std::memory_order_relaxed);
+    StaleIndexCounter()->Add(stale);
+  }
+  HEDC_RETURN_IF_ERROR(status);
+  if (agg != nullptr) {
+    // Groups keep their first-seen order in the access order.
+    int64_t seq = 0;
+    for (const ScanMatch& m : to_aggregate) agg->AccumulateRow(*m.row, seq++);
+  }
   return Status::Ok();
 }
 
@@ -378,109 +432,33 @@ Result<ResultSet> Database::ExecSelect(const SelectStmt& stmt,
   TableEntry* entry = FindEntry(stmt.table);
   if (entry == nullptr) return Status::NotFound("table " + stmt.table);
   std::shared_lock<std::shared_mutex> latch(entry->latch);
-  Table* table = &entry->table;
-  const Schema& schema = table->schema();
+  const Table& table = entry->table;
+  const Schema& schema = table.schema();
 
-  // Column references may carry the table as a qualifier even in
-  // single-table statements.
-  auto resolve = [&](const std::string& name) -> std::optional<size_t> {
-    auto ci = schema.ColumnIndex(name);
-    if (!ci.has_value()) {
-      ci = schema.ColumnIndex(StripQualifier(name, stmt.table));
-    }
-    return ci;
-  };
-
-  std::unique_ptr<Expr> where;
-  if (stmt.where != nullptr) {
-    where = stmt.where->Clone();
-    StripQualifiers(where.get(), stmt.table);
-    HEDC_RETURN_IF_ERROR(BindExpr(where.get(), schema, params));
-  }
-
-  // Resolve the output shape up front: the aggregate fast path below
-  // picks its scan strategy from it.
-  bool has_agg = false;
-  for (const SelectItem& item : stmt.items) {
-    if (item.agg != AggFunc::kNone) has_agg = true;
-  }
-  const bool agg_path = has_agg || !stmt.group_by.empty();
-  std::vector<int> group_cols;
-  std::vector<AggSpec> agg_specs;
-  std::vector<GroupedAggregator::OutputSlot> agg_layout;
-  if (agg_path) {
-    if (stmt.star) {
-      return Status::InvalidArgument(
-          "SELECT * cannot be combined with aggregation");
-    }
-    for (const std::string& g : stmt.group_by) {
-      auto ci = resolve(g);
-      if (!ci.has_value()) {
-        return Status::InvalidArgument("unknown GROUP BY column: " + g);
-      }
-      group_cols.push_back(static_cast<int>(*ci));
-    }
-    for (const SelectItem& item : stmt.items) {
-      if (item.agg == AggFunc::kNone) {
-        auto ci = resolve(item.column);
+  HEDC_ASSIGN_OR_RETURN(
+      std::unique_ptr<Expr> where,
+      BindTableExpr(stmt.where.get(), stmt.table, schema, params));
+  SelectList out;
+  HEDC_RETURN_IF_ERROR(ResolveSelectList(
+      stmt, schema.num_columns(),
+      [&](const std::string& name) -> Result<size_t> {
+        auto ci = schema.ColumnIndex(StripQualifier(name, stmt.table));
         if (!ci.has_value()) {
-          return Status::InvalidArgument("unknown column: " + item.column);
+          return Status::InvalidArgument("unknown column: " + name);
         }
-        const auto it = std::find(group_cols.begin(), group_cols.end(),
-                                  static_cast<int>(*ci));
-        if (it == group_cols.end()) {
-          return Status::InvalidArgument("column " + item.column +
-                                         " must appear in GROUP BY");
-        }
-        agg_layout.push_back(GroupedAggregator::OutputSlot{
-            true, static_cast<size_t>(it - group_cols.begin())});
-        continue;
-      }
-      AggSpec spec{item.agg, -1};
-      if (item.agg != AggFunc::kCountStar) {
-        auto ci = resolve(item.column);
-        if (!ci.has_value()) {
-          return Status::InvalidArgument("unknown column: " + item.column);
-        }
-        spec.col = static_cast<int>(*ci);
-      }
-      agg_layout.push_back(
-          GroupedAggregator::OutputSlot{false, agg_specs.size()});
-      agg_specs.push_back(spec);
-    }
-  }
+        return *ci;
+      },
+      [&](size_t i) { return schema.column(i).name; }, &out));
+  ResultSet result;
+  result.columns = std::move(out.columns);
 
-  bool used_index = false;
-  std::vector<int64_t> candidates;
-  HEDC_RETURN_IF_ERROR(
-      CollectIndexCandidates(table, where.get(), &candidates, &used_index));
-
-  // Aggregate fast path: no index, no ORDER BY (which reorders groups
-  // through first-seen) — scan → filter → aggregate per morsel without
-  // materializing matches (db/vectorized.h).
-  if (agg_path && !used_index && exec_options_.vectorized &&
-      stmt.order_by.empty()) {
-    ScanOptions sopts;
-    sopts.zone_maps = exec_options_.zone_maps;
-    sopts.threads = exec_options_.scan_threads;
-    sopts.pool = exec_options_.scan_threads > 1 ? ScanPool() : nullptr;
-    ScanStats sstats;
-    GroupedAggregator agg(group_cols, agg_specs);
-    HEDC_RETURN_IF_ERROR(
-        ScanAggregate(*table, where.get(), sopts, &agg, &sstats));
-    stats_.rows_examined.fetch_add(sstats.rows_scanned,
-                                   std::memory_order_relaxed);
-    stats_.morsels_pruned.fetch_add(sstats.morsels_pruned,
-                                    std::memory_order_relaxed);
-    stats_.rows_matched.fetch_add(sstats.rows_matched,
-                                  std::memory_order_relaxed);
-    RowsScannedCounter()->Add(sstats.rows_scanned);
-    RowsMatchedCounter()->Add(sstats.rows_matched);
-    ResultSet result;
-    for (const SelectItem& item : stmt.items) {
-      result.columns.push_back(item.alias);
-    }
-    agg.Emit(agg_layout, /*empty_input_row=*/group_cols.empty(),
+  // Without ORDER BY, aggregation runs inside the access path.
+  if (out.agg && !out.order_col.has_value()) {
+    GroupedAggregator agg(out.group_cols, out.specs);
+    HEDC_RETURN_IF_ERROR(MatchRows(table, where.get(),
+                                   ChooseAccessPath(table, where.get()),
+                                   nullptr, &agg));
+    agg.Emit(out.layout, /*empty_input_row=*/out.group_cols.empty(),
              &result.rows);
     if (stmt.limit >= 0 &&
         result.rows.size() > static_cast<size_t>(stmt.limit)) {
@@ -491,80 +469,16 @@ Result<ResultSet> Database::ExecSelect(const SelectStmt& stmt,
 
   // Survivors are borrowed pointers into the heap — stable because the
   // shared latch blocks all mutation for the rest of this function — so
-  // neither scan path copies a row to find out it matched.
+  // no row is copied to find out it matched.
   std::vector<ScanMatch> matches;
-  if (used_index) {
-    // Filter the index candidates with the full predicate (residual
-    // included).
-    matches.reserve(candidates.size());
-    int64_t stale = 0;
-    for (int64_t row_id : candidates) {
-      const Row* row = table->Find(row_id);
-      if (row == nullptr) {
-        // The index returned a row id the heap no longer has. Harmless
-        // for this query (the row is gone) but a symptom worth counting.
-        ++stale;
-        continue;
-      }
-      stats_.rows_examined.fetch_add(1, std::memory_order_relaxed);
-      if (where != nullptr) {
-        HEDC_ASSIGN_OR_RETURN(Value keep, EvalExpr(*where, *row));
-        if (!keep.AsBool()) continue;
-      }
-      matches.push_back(ScanMatch{row_id, row});
-    }
-    if (stale > 0) {
-      stats_.stale_index_entries.fetch_add(stale, std::memory_order_relaxed);
-      StaleIndexCounter()->Add(stale);
-    }
-  } else if (exec_options_.vectorized) {
-    ScanOptions sopts;
-    sopts.zone_maps = exec_options_.zone_maps;
-    sopts.threads = exec_options_.scan_threads;
-    sopts.pool = exec_options_.scan_threads > 1 ? ScanPool() : nullptr;
-    ScanStats sstats;
-    HEDC_RETURN_IF_ERROR(
-        ScanFilter(*table, where.get(), sopts, &matches, &sstats));
-    stats_.rows_examined.fetch_add(sstats.rows_scanned,
-                                   std::memory_order_relaxed);
-    stats_.morsels_pruned.fetch_add(sstats.morsels_pruned,
-                                    std::memory_order_relaxed);
-    RowsScannedCounter()->Add(sstats.rows_scanned);
-  } else {
-    // Legacy row-at-a-time scan (db.vectorized = off).
-    Status eval_error;
-    int64_t examined = 0;
-    table->Scan([&](int64_t row_id, const Row& row) {
-      ++examined;
-      if (where != nullptr) {
-        Result<Value> keep = EvalExpr(*where, row);
-        if (!keep.ok()) {
-          eval_error = keep.status();
-          return false;
-        }
-        if (!keep.value().AsBool()) return true;
-      }
-      matches.push_back(ScanMatch{row_id, &row});
-      return true;
-    });
-    stats_.rows_examined.fetch_add(examined, std::memory_order_relaxed);
-    RowsScannedCounter()->Add(examined);
-    if (!eval_error.ok()) return eval_error;
-  }
-  stats_.rows_matched.fetch_add(static_cast<int64_t>(matches.size()),
-                                std::memory_order_relaxed);
-  RowsMatchedCounter()->Add(static_cast<int64_t>(matches.size()));
+  HEDC_RETURN_IF_ERROR(MatchRows(
+      table, where.get(), ChooseAccessPath(table, where.get()), &matches));
 
   // ORDER BY before projection/limit (and before aggregation, where it
   // fixes the groups' first-seen order).
-  if (!stmt.order_by.empty()) {
-    auto col = resolve(stmt.order_by);
-    if (!col.has_value()) {
-      return Status::InvalidArgument("unknown ORDER BY column: " +
-                                     stmt.order_by);
-    }
-    size_t c = *col;
-    bool desc = stmt.order_desc;
+  if (out.order_col.has_value()) {
+    const size_t c = *out.order_col;
+    const bool desc = stmt.order_desc;
     std::stable_sort(matches.begin(), matches.end(),
                      [c, desc](const ScanMatch& a, const ScanMatch& b) {
                        int cmp = (*a.row)[c].Compare((*b.row)[c]);
@@ -572,57 +486,30 @@ Result<ResultSet> Database::ExecSelect(const SelectStmt& stmt,
                      });
   }
 
-  ResultSet result;
-
-  if (agg_path) {
-    // Aggregation over the materialized matches (index scans, ORDER BY,
-    // or the row-at-a-time mode). Groups preserve first-seen order in
-    // the (possibly sorted) match sequence.
-    GroupedAggregator agg(group_cols, agg_specs);
+  if (out.agg) {
+    // Groups preserve first-seen order in the sorted match sequence.
+    GroupedAggregator agg(out.group_cols, out.specs);
     int64_t seq = 0;
     for (const ScanMatch& m : matches) agg.AccumulateRow(*m.row, seq++);
-    for (const SelectItem& item : stmt.items) {
-      result.columns.push_back(item.alias);
-    }
-    agg.Emit(agg_layout, /*empty_input_row=*/group_cols.empty(),
+    agg.Emit(out.layout, /*empty_input_row=*/out.group_cols.empty(),
              &result.rows);
   } else {
-    // Plain projection.
-    std::vector<int> proj;
-    if (stmt.star) {
-      for (size_t i = 0; i < schema.num_columns(); ++i) {
-        result.columns.push_back(schema.column(i).name);
-        proj.push_back(static_cast<int>(i));
-      }
-    } else {
-      for (const SelectItem& item : stmt.items) {
-        auto ci = resolve(item.column);
-        if (!ci.has_value()) {
-          return Status::InvalidArgument("unknown column: " + item.column);
-        }
-        result.columns.push_back(item.alias);
-        proj.push_back(static_cast<int>(*ci));
-      }
-    }
-    // Only LIMIT-many rows are materialized when no ORDER BY reshuffles
-    // the match order afterwards.
+    // Only LIMIT-many rows are materialized.
     size_t cap = matches.size();
-    if (stmt.limit >= 0 && stmt.order_by.empty()) {
+    if (stmt.limit >= 0) {
       cap = std::min<size_t>(cap, static_cast<size_t>(stmt.limit));
     }
     result.rows.reserve(cap);
-    for (const ScanMatch& m : matches) {
-      if (result.rows.size() >= cap) break;
+    for (size_t i = 0; i < cap; ++i) {
       Row out_row;
-      out_row.reserve(proj.size());
-      for (int c : proj) out_row.push_back((*m.row)[c]);
+      out_row.reserve(out.proj.size());
+      for (size_t c : out.proj) out_row.push_back((*matches[i].row)[c]);
       result.rows.push_back(std::move(out_row));
     }
   }
-
   if (stmt.limit >= 0 &&
       result.rows.size() > static_cast<size_t>(stmt.limit)) {
-    result.rows.resize(stmt.limit);
+    result.rows.resize(static_cast<size_t>(stmt.limit));
   }
   return result;
 }
@@ -673,62 +560,40 @@ Result<ResultSet> Database::ExecUpdate(Table* table, const UpdateStmt& stmt,
                                        const std::vector<Value>& params,
                                        WriteUnit* unit) {
   const Schema& schema = table->schema();
-
-  std::unique_ptr<Expr> where;
-  if (stmt.where != nullptr) {
-    where = stmt.where->Clone();
-    HEDC_RETURN_IF_ERROR(BindExpr(where.get(), schema, params));
-  }
-  // Bind assignment expressions.
+  HEDC_ASSIGN_OR_RETURN(
+      std::unique_ptr<Expr> where,
+      BindTableExpr(stmt.where.get(), stmt.table, schema, params));
   std::vector<std::pair<size_t, std::unique_ptr<Expr>>> assigns;
   for (const auto& [col_name, expr] : stmt.assignments) {
     auto ci = schema.ColumnIndex(col_name);
     if (!ci.has_value()) {
       return Status::InvalidArgument("unknown column: " + col_name);
     }
-    std::unique_ptr<Expr> bound = expr->Clone();
-    HEDC_RETURN_IF_ERROR(BindExpr(bound.get(), schema, params));
+    HEDC_ASSIGN_OR_RETURN(
+        std::unique_ptr<Expr> bound,
+        BindTableExpr(expr.get(), stmt.table, schema, params));
     assigns.emplace_back(*ci, std::move(bound));
   }
 
-  bool used_index = false;
-  std::vector<int64_t> candidates;
-  HEDC_RETURN_IF_ERROR(
-      CollectIndexCandidates(table, where.get(), &candidates, &used_index));
-  bool residual_needed = used_index;
-  if (!used_index) {
-    // Streamed scan under the exclusive latch: rows cannot change between
-    // the scan and the mutation loop, so survivors need no re-check and
-    // non-matching rows are never copied.
-    HEDC_RETURN_IF_ERROR(
-        FilterByScan(table, where.get(), &candidates));
-  }
-
+  // Under the exclusive latch nothing changes between the match and the
+  // mutations, and each update leaves the other matched rows in place.
+  std::vector<ScanMatch> matches;
+  HEDC_RETURN_IF_ERROR(MatchRows(
+      *table, where.get(), ChooseAccessPath(*table, where.get()), &matches));
   ResultSet result;
-  for (int64_t row_id : candidates) {
-    const Row* current = table->Find(row_id);
-    if (current == nullptr) {
-      if (residual_needed) {
-        stats_.stale_index_entries.fetch_add(1, std::memory_order_relaxed);
-        StaleIndexCounter()->Add(1);
-      }
-      continue;
-    }
-    if (residual_needed && where != nullptr) {
-      HEDC_ASSIGN_OR_RETURN(Value keep, EvalExpr(*where, *current));
-      if (!keep.AsBool()) continue;
-    }
-    Row updated = *current;
+  for (const ScanMatch& m : matches) {
+    Row updated = *m.row;
     for (const auto& [col, expr] : assigns) {
-      HEDC_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, *current));
+      HEDC_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, *m.row));
       updated[col] = std::move(v);
     }
-    // `current` dies with this Update; no use after it below.
     Row old_row;
-    HEDC_RETURN_IF_ERROR(table->Update(row_id, std::move(updated), &old_row));
-    unit->undo.push_back({WalOp::kUpdate, table, row_id, std::move(old_row)});
-    unit->wal.push_back(WalRecord{WalOp::kUpdate, table->name(), row_id,
-                                  *table->Find(row_id), Schema{}, "", "",
+    HEDC_RETURN_IF_ERROR(
+        table->Update(m.row_id, std::move(updated), &old_row));
+    unit->undo.push_back(
+        {WalOp::kUpdate, table, m.row_id, std::move(old_row)});
+    unit->wal.push_back(WalRecord{WalOp::kUpdate, table->name(), m.row_id,
+                                  *table->Find(m.row_id), Schema{}, "", "",
                                   false});
     ++result.affected_rows;
   }
@@ -738,86 +603,24 @@ Result<ResultSet> Database::ExecUpdate(Table* table, const UpdateStmt& stmt,
 Result<ResultSet> Database::ExecDelete(Table* table, const DeleteStmt& stmt,
                                        const std::vector<Value>& params,
                                        WriteUnit* unit) {
-  const Schema& schema = table->schema();
-
-  std::unique_ptr<Expr> where;
-  if (stmt.where != nullptr) {
-    where = stmt.where->Clone();
-    HEDC_RETURN_IF_ERROR(BindExpr(where.get(), schema, params));
-  }
-
-  bool used_index = false;
-  std::vector<int64_t> candidates;
-  HEDC_RETURN_IF_ERROR(
-      CollectIndexCandidates(table, where.get(), &candidates, &used_index));
-  bool residual_needed = used_index;
-  if (!used_index) {
-    HEDC_RETURN_IF_ERROR(FilterByScan(table, where.get(), &candidates));
-  }
-
+  HEDC_ASSIGN_OR_RETURN(
+      std::unique_ptr<Expr> where,
+      BindTableExpr(stmt.where.get(), stmt.table, table->schema(), params));
+  // Row ids only: a delete may free the morsel a later match lived in.
+  std::vector<ScanMatch> matches;
+  HEDC_RETURN_IF_ERROR(MatchRows(
+      *table, where.get(), ChooseAccessPath(*table, where.get()), &matches));
   ResultSet result;
-  for (int64_t row_id : candidates) {
-    const Row* current = table->Find(row_id);
-    if (current == nullptr) {
-      if (residual_needed) {
-        stats_.stale_index_entries.fetch_add(1, std::memory_order_relaxed);
-        StaleIndexCounter()->Add(1);
-      }
-      continue;
-    }
-    if (residual_needed && where != nullptr) {
-      HEDC_ASSIGN_OR_RETURN(Value keep, EvalExpr(*where, *current));
-      if (!keep.AsBool()) continue;
-    }
+  for (const ScanMatch& m : matches) {
     Row old_row;
-    HEDC_RETURN_IF_ERROR(table->Delete(row_id, &old_row));
-    unit->undo.push_back({WalOp::kDelete, table, row_id, std::move(old_row)});
-    unit->wal.push_back(WalRecord{WalOp::kDelete, table->name(), row_id, Row{},
-                                  Schema{}, "", "", false});
+    HEDC_RETURN_IF_ERROR(table->Delete(m.row_id, &old_row));
+    unit->undo.push_back(
+        {WalOp::kDelete, table, m.row_id, std::move(old_row)});
+    unit->wal.push_back(WalRecord{WalOp::kDelete, table->name(), m.row_id,
+                                  Row{}, Schema{}, "", "", false});
     ++result.affected_rows;
   }
   return result;
-}
-
-Status Database::FilterByScan(Table* table, const Expr* where,
-                              std::vector<int64_t>* row_ids) {
-  if (exec_options_.vectorized) {
-    // DML callers hold the exclusive table latch; the parallel workers
-    // only read the heap, so sharing the scan inside the latch is safe.
-    ScanOptions sopts;
-    sopts.zone_maps = exec_options_.zone_maps;
-    sopts.threads = exec_options_.scan_threads;
-    sopts.pool = exec_options_.scan_threads > 1 ? ScanPool() : nullptr;
-    std::vector<ScanMatch> matches;
-    ScanStats sstats;
-    HEDC_RETURN_IF_ERROR(ScanFilter(*table, where, sopts, &matches, &sstats));
-    row_ids->reserve(row_ids->size() + matches.size());
-    for (const ScanMatch& m : matches) row_ids->push_back(m.row_id);
-    stats_.rows_examined.fetch_add(sstats.rows_scanned,
-                                   std::memory_order_relaxed);
-    stats_.morsels_pruned.fetch_add(sstats.morsels_pruned,
-                                    std::memory_order_relaxed);
-    RowsScannedCounter()->Add(sstats.rows_scanned);
-    return Status::Ok();
-  }
-  Status eval_error;
-  int64_t examined = 0;
-  table->Scan([&](int64_t row_id, const Row& row) {
-    ++examined;
-    if (where != nullptr) {
-      Result<Value> keep = EvalExpr(*where, row);
-      if (!keep.ok()) {
-        eval_error = keep.status();
-        return false;
-      }
-      if (!keep.value().AsBool()) return true;
-    }
-    row_ids->push_back(row_id);
-    return true;
-  });
-  stats_.rows_examined.fetch_add(examined, std::memory_order_relaxed);
-  RowsScannedCounter()->Add(examined);
-  return eval_error;
 }
 
 Result<ResultSet> Database::ExecCreateTable(const CreateTableStmt& stmt) {

@@ -28,20 +28,21 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "core/status.h"
 #include "core/thread_pool.h"
+#include "db/scan_bounds.h"
 #include "db/sql.h"
 #include "db/table.h"
+#include "db/vectorized.h"
 #include "db/wal.h"
 
-namespace hedc {
-class Config;
-}
-
 namespace hedc::db {
+
+struct QueryPlan;
 
 // Tabular statement result. DML statements report affected row count.
 struct ResultSet {
@@ -74,15 +75,16 @@ struct DbStats {
   std::atomic<int64_t> stale_index_entries{0};  // dangling index hits
 };
 
-// Query-execution knobs (DESIGN.md §4e). `morsel_rows` applies to
-// tables created after the change; the other fields take effect on the
-// next statement.
+// Query-execution options (DESIGN.md §4e). No deployment sets them:
+// the defaults are the engine, and the off paths are the oracles that
+// tests and benches select through set_exec_options. `morsel_rows`
+// applies to tables created after the change; the other fields take
+// effect on the next statement.
 struct ExecOptions {
-  bool vectorized = true;   // batched scan-filter path (db/vectorized.h)
+  bool vectorized = true;   // off: the row-at-a-time interpreter
   bool zone_maps = true;    // morsel min/max pruning
   int64_t morsel_rows = Table::kDefaultRowsPerMorsel;
-  int scan_threads = 4;     // max parallelism of one full scan
-  int join_partitions = 8;  // hash-join build partitions (vectorized mode)
+  int scan_threads = 4;     // max parallelism of one scan, probe or build
   // Cost-based join order (largest estimated input drives, smallest
   // builds first); off = FROM order.
   bool join_planner = true;
@@ -128,22 +130,17 @@ class Database {
   const Table* GetTable(const std::string& name) const;
   std::vector<std::string> TableNames() const;
 
-  // Reads db.vectorized, db.zone_maps, db.morsel_rows, db.scan_threads,
-  // db.join_partitions and db.join_planner; unset keys keep their
-  // current value.
-  void Configure(const Config& config);
   void set_exec_options(const ExecOptions& opts) { exec_options_ = opts; }
   const ExecOptions& exec_options() const { return exec_options_; }
 
   DbStats& stats() { return stats_; }
 
-  // Plan description for a joined SELECT, one line per pipeline stage
-  // (driver scan, hash-join builds, terminal); mirrors the planner
-  // decisions ExecJoinedSelect would make (src/db/join.cc).
-  Result<std::vector<std::string>> ExplainJoinedSelect(
-      const SelectStmt& stmt, const std::vector<Value>& params);
-
  private:
+  // db/explain.h: plans under the executor's latches, binding, index
+  // choice and scan options.
+  friend Result<QueryPlan> ExplainSelect(Database* db, std::string_view sql,
+                                         const std::vector<Value>& params);
+
   // What a write unit has applied so far, in statement order: the WAL
   // records to append and the undo entries that revert them.
   struct WriteUnit {
@@ -167,12 +164,27 @@ class Database {
     mutable std::shared_mutex latch;
   };
 
+  // The tables of one statement, latched for its duration.
+  struct LatchedTables {
+    std::vector<TableEntry*> entries;  // parallel to the names looked up
+    std::vector<std::shared_lock<std::shared_mutex>> shared;
+    std::vector<std::unique_lock<std::shared_mutex>> exclusive;
+  };
+  // Resolves `names` (caller holds catalog_mu_) and latches each table
+  // once, shared or exclusive, in ascending name order: the order every
+  // multi-table path uses, which keeps the hierarchy deadlock-free.
+  Status LatchTables(const std::vector<std::string_view>& names,
+                     bool exclusive, LatchedTables* out);
+
   Result<ResultSet> ExecSelect(const SelectStmt& stmt,
                                const std::vector<Value>& params);
-  // Multi-table SELECT (src/db/join.cc): plans an equi-join pipeline
-  // and runs it vectorized or row-at-a-time per exec_options_.
-  Result<ResultSet> ExecJoinedSelect(const SelectStmt& stmt,
-                                     const std::vector<Value>& params);
+  // Multi-table SELECT (src/db/join.cc): plans an equi-join pipeline,
+  // gets each table's rows from MatchRows and probes hash tables. With
+  // `explain`, stops where execution would start and renders the plan
+  // there instead, one line per pipeline stage.
+  Result<ResultSet> ExecJoinedSelect(
+      const SelectStmt& stmt, const std::vector<Value>& params,
+      std::vector<std::string>* explain = nullptr);
   struct UnitStatement {
     const Statement* stmt;  // INSERT, UPDATE or DELETE
     const std::vector<Value>* params;
@@ -198,23 +210,25 @@ class Database {
   Result<ResultSet> ExecDropTable(const DropTableStmt& stmt);
 
   // Catalog lookup; caller must hold catalog_mu_ (shared or exclusive).
-  TableEntry* FindEntry(const std::string& name);
+  TableEntry* FindEntry(std::string_view name);
 
-  // If an index serves a sargable conjunct of `where`, fills `row_ids`
-  // with candidates (residual predicate still required) and sets
-  // *used_index. Otherwise only bumps the full-scan counter: callers
-  // stream the heap scan themselves with the predicate pushed down, so
-  // non-matching rows are never copied.
-  Status CollectIndexCandidates(Table* table, const Expr* where,
-                                std::vector<int64_t>* row_ids,
-                                bool* used_index);
+  // The one access path to a table's rows, for every SELECT, join
+  // input, UPDATE and DELETE: the rows satisfying the bound `where`
+  // (null = all), found the way `path` (ChooseAccessPath) says. Index
+  // candidates are re-checked against the whole predicate and dangling
+  // ones counted; a scan runs vectorized, or row-at-a-time when
+  // exec_options_.vectorized is off (the oracle). Matches are appended
+  // to `out` as borrowed rows, valid while the caller holds the table
+  // latch and mutates nothing. With `agg` instead, they are accumulated
+  // into it, a vectorized scan aggregating per morsel. Feeds every
+  // access counter of stats_ and /metrics.
+  Status MatchRows(const Table& table, const Expr* where, AccessPath path,
+                   std::vector<ScanMatch>* out,
+                   GroupedAggregator* agg = nullptr);
 
-  // Full-scan candidate collection with `where` pushed down, appending
-  // surviving row ids. Uses the vectorized batched path when enabled,
-  // else streams the heap scan row-at-a-time; either way rows are
-  // evaluated in place and only ids are collected.
-  Status FilterByScan(Table* table, const Expr* where,
-                      std::vector<int64_t>* row_ids);
+  // Scan parallelism for a statement: exec_options_ over the shared
+  // pool.
+  ScanOptions StatementScanOptions();
 
   // Lazily constructed worker pool shared by all parallel scans of this
   // database (sized to the host, capped; per-statement parallelism is

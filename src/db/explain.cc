@@ -1,7 +1,8 @@
 #include "db/explain.h"
 
-#include <optional>
-#include <unordered_map>
+#include <memory>
+#include <mutex>
+#include <shared_mutex>
 
 #include "core/strings.h"
 #include "db/expr.h"
@@ -53,84 +54,49 @@ Result<QueryPlan> ExplainSelect(Database* db, std::string_view sql,
     return Status::InvalidArgument("EXPLAIN supports SELECT only");
   }
   const SelectStmt& select = stmt->select;
-
-  if (!select.joins.empty()) {
-    // Joined SELECT: the join planner reports its pipeline directly so
-    // EXPLAIN and execution share one set of decisions.
-    std::vector<Value> padded = params;
-    padded.resize(static_cast<size_t>(stmt->num_params), Value::Int(0));
-    QueryPlan plan;
-    plan.joined = true;
-    plan.table = select.table;
-    HEDC_ASSIGN_OR_RETURN(plan.pipeline,
-                          db->ExplainJoinedSelect(select, padded));
-    return plan;
-  }
-
-  Table* table = db->GetTable(select.table);
-  if (table == nullptr) return Status::NotFound("table " + select.table);
-
-  QueryPlan plan;
-  plan.table = table->name();
-
-  // Fills in the full-scan strategy fields from the executor's own
-  // helpers, so EXPLAIN and execution can never drift apart.
-  auto finish_full_scan =
-      [&](const std::unordered_map<int, ColumnBounds>& bounds) {
-        plan.access = QueryPlan::Access::kFullScan;
-        const ExecOptions& eopts = db->exec_options();
-        plan.vectorized = eopts.vectorized;
-        plan.morsel_count = static_cast<int64_t>(table->num_morsels());
-        if (!eopts.vectorized) return;
-        ScanOptions sopts;
-        sopts.zone_maps = eopts.zone_maps;
-        sopts.threads = eopts.scan_threads;
-        plan.parallelism = PlannedScanThreads(*table, sopts);
-        if (eopts.zone_maps && !bounds.empty()) {
-          std::vector<const Table::Morsel*> kept;
-          PruneMorsels(*table, bounds, &kept, &plan.morsels_pruned);
-        }
-      };
-
-  if (select.where == nullptr) {
-    finish_full_scan({});
-    return plan;
-  }
-  std::unique_ptr<Expr> where = select.where->Clone();
-  // Like the executor, accept columns qualified by the table's own name.
-  StripQualifiers(where.get(), select.table);
   // Pad parameters so planning never fails on unbound markers.
   std::vector<Value> padded = params;
   padded.resize(static_cast<size_t>(stmt->num_params), Value::Int(0));
-  HEDC_RETURN_IF_ERROR(BindExpr(where.get(), table->schema(), padded));
 
-  std::unordered_map<int, ColumnBounds> bounds =
-      ExtractColumnBounds(where.get());
-  plan.has_residual = true;  // the executor always re-checks the predicate
-
-  // Same preference order as the executor: indexed equality first, then
-  // indexed range, else scan.
-  for (const auto& [col, b] : bounds) {
-    if (!b.eq.has_value()) continue;
-    const IndexDef* def =
-        table->FindIndex(static_cast<size_t>(col), /*need_range=*/false);
-    if (def == nullptr) continue;
-    plan.access = QueryPlan::Access::kIndexPoint;
-    plan.index_name = def->name;
-    plan.column = table->schema().column(def->column).name;
+  QueryPlan plan;
+  if (!select.joins.empty()) {
+    plan.joined = true;
+    plan.table = select.table;
+    HEDC_RETURN_IF_ERROR(
+        db->ExecJoinedSelect(select, padded, &plan.pipeline).status());
     return plan;
   }
-  for (const auto& [col, b] : bounds) {
-    if (!b.has_range()) continue;
-    const IndexDef* def =
-        table->FindIndex(static_cast<size_t>(col), /*need_range=*/true);
-    if (def == nullptr) continue;
-    plan.access = QueryPlan::Access::kIndexRange;
-    plan.index_name = def->name;
-    plan.column = table->schema().column(def->column).name;
+
+  // The executor's latch, binding, index choice and scan options.
+  std::shared_lock<std::shared_mutex> catalog(db->catalog_mu_);
+  Database::TableEntry* entry = db->FindEntry(select.table);
+  if (entry == nullptr) return Status::NotFound("table " + select.table);
+  std::shared_lock<std::shared_mutex> latch(entry->latch);
+  const Table& table = entry->table;
+  plan.table = table.name();
+  HEDC_ASSIGN_OR_RETURN(
+      std::unique_ptr<Expr> where,
+      BindTableExpr(select.where.get(), select.table, table.schema(), padded));
+  const AccessPath path = ChooseAccessPath(table, where.get());
+  plan.has_residual = where != nullptr;  // re-checked on every candidate
+  if (path.kind != AccessPath::Kind::kScan) {
+    plan.access = path.kind == AccessPath::Kind::kIndexPoint
+                      ? QueryPlan::Access::kIndexPoint
+                      : QueryPlan::Access::kIndexRange;
+    plan.index_name = path.index->name;
+    plan.column = table.schema().column(path.index->column).name;
     return plan;
   }
-  finish_full_scan(bounds);
+  plan.access = QueryPlan::Access::kFullScan;
+  plan.vectorized = db->exec_options().vectorized;
+  plan.morsel_count = static_cast<int64_t>(table.num_morsels());
+  if (!plan.vectorized) return plan;
+  const ScanOptions sopts = db->StatementScanOptions();
+  plan.parallelism = PlannedScanThreads(table, sopts);
+  if (sopts.zone_maps && !path.bounds.empty()) {
+    std::vector<const Table::Morsel*> kept;
+    PruneMorsels(table, path.bounds, &kept, &plan.morsels_pruned);
+  }
   return plan;
 }
 

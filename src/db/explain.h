@@ -27,10 +27,10 @@ struct QueryPlan {
   int64_t morsels_pruned = 0;  // morsels the zone maps would skip
   int parallelism = 1;        // threads the executor would use
 
-  // Joined SELECTs: the pipeline stages the join planner chose (driver
-  // scan, hash-join builds, terminal), rendered by ToString as
-  // "PIPELINE stage -> stage -> ...". The single-table fields above are
-  // not populated for joined plans.
+  // Joined SELECTs: the pipeline stages the join planner chose (the
+  // driver's access, each hash-join build with its table's access, the
+  // terminal), rendered by ToString as "PIPELINE stage -> stage -> ...".
+  // The single-table fields above are not populated for joined plans.
   bool joined = false;
   std::vector<std::string> pipeline;
 

@@ -1,22 +1,19 @@
 // Joined-SELECT execution: name resolution over the FROM list, the
-// cost-based equi-join planner, partitioned hash tables, and the two
-// executors — the vectorized morsel pipeline and the row-at-a-time
-// interpreter used for differential testing (DESIGN.md §4h).
+// SELECT-list resolver shared with single-table statements, the
+// cost-based equi-join planner, partitioned hash tables and the batched
+// probe (DESIGN.md §4h).
 #include "db/join.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <limits>
 #include <memory>
-#include <mutex>
 #include <numeric>
+#include <shared_mutex>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
 #include "core/strings.h"
-#include "db/data_chunk.h"
 #include "db/database.h"
 #include "db/scan_bounds.h"
 #include "db/sql.h"
@@ -142,6 +139,8 @@ std::string StripQualifier(const std::string& name, const std::string& table) {
   return name;
 }
 
+namespace {
+
 void StripQualifiers(Expr* expr, const std::string& table) {
   if (expr == nullptr) return;
   if (expr->kind == Expr::Kind::kColumn) {
@@ -150,6 +149,75 @@ void StripQualifiers(Expr* expr, const std::string& table) {
   StripQualifiers(expr->left.get(), table);
   StripQualifiers(expr->right.get(), table);
   for (auto& item : expr->list) StripQualifiers(item.get(), table);
+}
+
+}  // namespace
+
+Result<std::unique_ptr<Expr>> BindTableExpr(const Expr* expr,
+                                            const std::string& table,
+                                            const Schema& schema,
+                                            const std::vector<Value>& params) {
+  if (expr == nullptr) return std::unique_ptr<Expr>();
+  std::unique_ptr<Expr> bound = expr->Clone();
+  StripQualifiers(bound.get(), table);
+  HEDC_RETURN_IF_ERROR(BindExpr(bound.get(), schema, params));
+  return bound;
+}
+
+Status ResolveSelectList(
+    const SelectStmt& stmt, size_t num_columns,
+    const std::function<Result<size_t>(const std::string&)>& resolve,
+    const std::function<std::string(size_t)>& star_name, SelectList* out) {
+  for (const std::string& g : stmt.group_by) {
+    HEDC_ASSIGN_OR_RETURN(size_t c, resolve(g));
+    out->group_cols.push_back(static_cast<int>(c));
+  }
+  out->agg = !out->group_cols.empty();
+  for (const SelectItem& item : stmt.items) {
+    if (item.agg != AggFunc::kNone) out->agg = true;
+  }
+  if (!stmt.order_by.empty()) {
+    HEDC_ASSIGN_OR_RETURN(size_t c, resolve(stmt.order_by));
+    out->order_col = c;
+  }
+  if (stmt.star) {
+    if (out->agg) {
+      return Status::InvalidArgument(
+          "SELECT * cannot be combined with aggregation");
+    }
+    for (size_t c = 0; c < num_columns; ++c) {
+      out->proj.push_back(c);
+      out->columns.push_back(star_name(c));
+    }
+    return Status::Ok();
+  }
+  for (const SelectItem& item : stmt.items) {
+    out->columns.push_back(item.alias);
+    if (!out->agg) {
+      HEDC_ASSIGN_OR_RETURN(size_t c, resolve(item.column));
+      out->proj.push_back(c);
+    } else if (item.agg == AggFunc::kNone) {
+      HEDC_ASSIGN_OR_RETURN(size_t c, resolve(item.column));
+      const auto it = std::find(out->group_cols.begin(),
+                                out->group_cols.end(), static_cast<int>(c));
+      if (it == out->group_cols.end()) {
+        return Status::InvalidArgument("column " + item.column +
+                                       " must appear in GROUP BY");
+      }
+      out->layout.push_back(GroupedAggregator::OutputSlot{
+          true, static_cast<size_t>(it - out->group_cols.begin())});
+    } else {
+      AggSpec spec{item.agg, -1};
+      if (item.agg != AggFunc::kCountStar) {
+        HEDC_ASSIGN_OR_RETURN(size_t c, resolve(item.column));
+        spec.col = static_cast<int>(c);
+      }
+      out->layout.push_back(
+          GroupedAggregator::OutputSlot{false, out->specs.size()});
+      out->specs.push_back(spec);
+    }
+  }
+  return Status::Ok();
 }
 
 Value CanonicalJoinKey(const Value& v, bool coerce_numeric) {
@@ -215,27 +283,20 @@ std::unique_ptr<Expr> FoldAnd(std::vector<std::unique_ptr<Expr>> conjuncts) {
   return acc;
 }
 
-// Selectivity estimate for one table under its pushed-down predicate:
-// exact index-candidate count when an equality hits an index, else the
-// sum of live rows in zone-surviving morsels, else the live row count.
-int64_t EstimateTableRows(const Table& t, const Expr* local_where,
-                          bool zone_maps) {
+// Row estimate for one table under its pushed-down predicate: the exact
+// candidate count of an indexed equality (fetched once, for the scan
+// that follows), else the live rows in zone-surviving morsels, else
+// the live row count.
+int64_t EstimateTableRows(const Table& t, AccessPath* path, bool zone_maps) {
   const int64_t n = static_cast<int64_t>(t.num_rows());
-  if (local_where == nullptr) return n;
-  const auto bounds = ExtractColumnBounds(local_where);
-  for (const auto& [col, b] : bounds) {
-    if (!b.eq.has_value()) continue;
-    const IndexDef* def =
-        t.FindIndex(static_cast<size_t>(col), /*need_range=*/false);
-    if (def == nullptr) continue;
-    std::vector<int64_t> ids;
-    t.IndexLookup(*def, *b.eq, &ids);
-    return static_cast<int64_t>(ids.size());
+  if (path->kind == AccessPath::Kind::kIndexPoint) {
+    FetchCandidates(t, path);
+    return static_cast<int64_t>(path->candidates.size());
   }
-  if (!zone_maps || bounds.empty()) return n;
+  if (!zone_maps || path->bounds.empty()) return n;
   std::vector<const Table::Morsel*> kept;
   int64_t pruned = 0;
-  PruneMorsels(t, bounds, &kept, &pruned);
+  PruneMorsels(t, path->bounds, &kept, &pruned);
   int64_t est = 0;
   for (const Table::Morsel* m : kept) est += m->live;
   return std::min(est, n);
@@ -259,9 +320,10 @@ struct JoinPlan {
   std::vector<std::unique_ptr<Expr>> ons;
 
   // Per FROM table: the AND of its single-table conjuncts, cloned with
-  // table-local column indexes (nullptr = unfiltered), and the row
-  // estimate under it.
+  // table-local column indexes (nullptr = unfiltered), its access path
+  // under that predicate, and the row estimate.
   std::vector<std::unique_ptr<Expr>> local;
+  std::vector<AccessPath> access;
   std::vector<int64_t> est;
 
   size_t driver = 0;
@@ -330,11 +392,14 @@ Status PlanJoin(const SelectStmt& stmt, const JoinSchema& js,
     local_parts[t].push_back(std::move(clone));
   }
   plan->local.resize(n);
+  plan->access.resize(n);
   plan->est.resize(n);
   for (size_t t = 0; t < n; ++t) {
+    const Table& table = *js.table(t).table;
     plan->local[t] = FoldAnd(std::move(local_parts[t]));
-    plan->est[t] = EstimateTableRows(*js.table(t).table, plan->local[t].get(),
-                                     opts.zone_maps);
+    plan->access[t] = ChooseAccessPath(table, plan->local[t].get());
+    plan->est[t] =
+        EstimateTableRows(table, &plan->access[t], opts.zone_maps);
   }
 
   // Join order. With the planner on, the largest estimated input drives
@@ -432,92 +497,25 @@ Status PlanJoin(const SelectStmt& stmt, const JoinSchema& js,
   return Status::Ok();
 }
 
-// ---------------------------------------------------------------------------
-// Output shape
-
-struct JoinOutput {
-  bool agg = false;
-  std::vector<int> group_cols;  // flat
-  std::vector<AggSpec> specs;
-  std::vector<GroupedAggregator::OutputSlot> layout;
-  std::vector<size_t> needed;  // flat columns the aggregate reads
-  std::vector<size_t> proj;    // flat, non-aggregate mode
-  std::vector<std::string> columns;
-  std::optional<size_t> order_col;  // flat
-};
-
+// The SELECT list over the flat column space. Aggregation over a join
+// keeps first-seen group order and has no ORDER BY.
 Status ResolveJoinOutput(const SelectStmt& stmt, const JoinSchema& js,
-                         JoinOutput* out) {
-  bool has_agg = false;
-  for (const SelectItem& item : stmt.items) {
-    if (item.agg != AggFunc::kNone) has_agg = true;
-  }
-  for (const std::string& g : stmt.group_by) {
-    HEDC_ASSIGN_OR_RETURN(size_t flat, js.ResolveColumn(g));
-    out->group_cols.push_back(static_cast<int>(flat));
-  }
-  out->agg = has_agg || !out->group_cols.empty();
-
-  if (out->agg) {
-    if (stmt.star) {
-      return Status::InvalidArgument(
-          "SELECT * cannot be combined with aggregation");
-    }
-    if (!stmt.order_by.empty()) {
-      return Status::Unimplemented(
-          "ORDER BY on an aggregated joined SELECT");
-    }
-    for (const SelectItem& item : stmt.items) {
-      out->columns.push_back(item.alias);
-      if (item.agg == AggFunc::kNone) {
-        HEDC_ASSIGN_OR_RETURN(size_t flat, js.ResolveColumn(item.column));
-        const auto it = std::find(out->group_cols.begin(),
-                                  out->group_cols.end(),
-                                  static_cast<int>(flat));
-        if (it == out->group_cols.end()) {
-          return Status::InvalidArgument("column " + item.column +
-                                         " must appear in GROUP BY");
-        }
-        out->layout.push_back(GroupedAggregator::OutputSlot{
-            true, static_cast<size_t>(it - out->group_cols.begin())});
-        continue;
-      }
-      AggSpec spec{item.agg, -1};
-      if (item.agg != AggFunc::kCountStar) {
-        HEDC_ASSIGN_OR_RETURN(size_t flat, js.ResolveColumn(item.column));
-        spec.col = static_cast<int>(flat);
-      }
-      out->layout.push_back(
-          GroupedAggregator::OutputSlot{false, out->specs.size()});
-      out->specs.push_back(spec);
-    }
-    for (int c : out->group_cols) out->needed.push_back(static_cast<size_t>(c));
-    for (const AggSpec& s : out->specs) {
-      if (s.col >= 0) out->needed.push_back(static_cast<size_t>(s.col));
-    }
-    std::sort(out->needed.begin(), out->needed.end());
-    out->needed.erase(std::unique(out->needed.begin(), out->needed.end()),
-                      out->needed.end());
-    return Status::Ok();
-  }
-
-  if (stmt.star) {
-    for (size_t flat = 0; flat < js.total_columns(); ++flat) {
-      out->proj.push_back(flat);
-      out->columns.push_back(js.ColumnDisplayName(flat));
-    }
-  } else {
-    for (const SelectItem& item : stmt.items) {
-      HEDC_ASSIGN_OR_RETURN(size_t flat, js.ResolveColumn(item.column));
-      out->proj.push_back(flat);
-      out->columns.push_back(item.alias);
-    }
-  }
-  if (!stmt.order_by.empty()) {
-    HEDC_ASSIGN_OR_RETURN(size_t flat, js.ResolveColumn(stmt.order_by));
-    out->order_col = flat;
+                         SelectList* out) {
+  HEDC_RETURN_IF_ERROR(ResolveSelectList(
+      stmt, js.total_columns(),
+      [&](const std::string& name) { return js.ResolveColumn(name); },
+      [&](size_t flat) { return js.ColumnDisplayName(flat); }, out));
+  if (out->agg && out->order_col.has_value()) {
+    return Status::Unimplemented("ORDER BY on an aggregated joined SELECT");
   }
   return Status::Ok();
+}
+
+// The FROM list, in FROM order.
+std::vector<std::string_view> FromList(const SelectStmt& stmt) {
+  std::vector<std::string_view> names{stmt.table};
+  for (const JoinClause& jc : stmt.joins) names.push_back(jc.table);
+  return names;
 }
 
 // ---------------------------------------------------------------------------
@@ -534,22 +532,27 @@ struct ValueEq {
 
 class JoinHashTable {
  public:
-  JoinHashTable(size_t local_col, bool coerce, size_t partitions)
-      : local_col_(local_col),
-        coerce_(coerce),
-        parts_(std::max<size_t>(1, partitions)) {}
+  JoinHashTable(size_t local_col, bool coerce)
+      : local_col_(local_col), coerce_(coerce) {}
 
-  // Builds from scan survivors. Large inputs scatter into partitions
-  // serially (one hash per key), then insert partition-parallel on the
-  // pool; NULL keys are dropped (NULL = x is never true).
+  // Builds from the build side's matches; NULL keys are dropped (NULL =
+  // x is never true). Small inputs, or no pool, or one thread: one
+  // partition, filled serially. Otherwise 2 × `threads` partitions:
+  // keys scatter serially (one hash each), then the partitions fill in
+  // parallel on the pool.
   void Build(const std::vector<ScanMatch>& matches, ThreadPool* pool,
              int threads) {
-    if (parts_.size() == 1 || static_cast<int64_t>(matches.size()) <
-                                  kMinParallelBuild ||
+    if (static_cast<int64_t>(matches.size()) < kMinParallelBuild ||
         pool == nullptr || threads <= 1) {
-      for (const ScanMatch& m : matches) InsertSerial(m.row);
+      parts_.resize(1);
+      for (const ScanMatch& m : matches) {
+        const Value& raw = (*m.row)[local_col_];
+        if (raw.is_null()) continue;
+        parts_[0].map[CanonicalJoinKey(raw, coerce_)].push_back(m.row);
+      }
       return;
     }
+    parts_.resize(2 * static_cast<size_t>(threads));
     std::vector<std::vector<std::pair<Value, const Row*>>> scatter(
         parts_.size());
     for (const ScanMatch& m : matches) {
@@ -558,36 +561,13 @@ class JoinHashTable {
       Value key = CanonicalJoinKey(raw, coerce_);
       const size_t p = key.Hash() % parts_.size();
       scatter[p].emplace_back(std::move(key), m.row);
-      ++rows_;
     }
-    std::atomic<size_t> next{0};
-    auto work = [&] {
-      size_t p;
-      while ((p = next.fetch_add(1, std::memory_order_relaxed)) <
-             scatter.size()) {
-        for (auto& kv : scatter[p]) {
-          parts_[p].map[std::move(kv.first)].push_back(kv.second);
-        }
+    ParallelClaim(pool, threads, scatter.size(), [&](int, size_t p) {
+      for (auto& kv : scatter[p]) {
+        parts_[p].map[std::move(kv.first)].push_back(kv.second);
       }
-    };
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    int launched = 0;
-    int done = 0;
-    const int helpers =
-        std::min<int>(threads - 1, static_cast<int>(parts_.size()) - 1);
-    for (int i = 0; i < helpers; ++i) {
-      const bool ok = pool->TrySubmit([&] {
-        work();
-        std::lock_guard<std::mutex> lock(done_mu);
-        ++done;
-        done_cv.notify_all();
-      });
-      if (ok) ++launched;
-    }
-    work();
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] { return done == launched; });
+      return Status::Ok();
+    });
   }
 
   // Matching build rows for a probe value, nullptr when none. The raw
@@ -600,8 +580,6 @@ class JoinHashTable {
     return Find(canon);
   }
 
-  int64_t rows() const { return rows_; }
-
  private:
   static constexpr int64_t kMinParallelBuild = 8192;
 
@@ -609,16 +587,6 @@ class JoinHashTable {
     std::unordered_map<Value, std::vector<const Row*>, ValueHasher, ValueEq>
         map;
   };
-
-  void InsertSerial(const Row* row) {
-    const Value& raw = (*row)[local_col_];
-    if (raw.is_null()) return;
-    Value key = CanonicalJoinKey(raw, coerce_);
-    const size_t p =
-        parts_.size() == 1 ? 0 : key.Hash() % parts_.size();
-    parts_[p].map[std::move(key)].push_back(row);
-    ++rows_;
-  }
 
   const std::vector<const Row*>* Find(const Value& key) const {
     const Part& p =
@@ -630,159 +598,140 @@ class JoinHashTable {
   size_t local_col_;
   bool coerce_;
   std::vector<Part> parts_;
-  int64_t rows_ = 0;
 };
 
-// Scan survivors plus the hash table built over them; `matches` keeps
+// A build side's matches plus the hash table over them; `matches` keeps
 // the borrowed row pointers alive for the probe phase.
 struct BuiltSide {
   std::vector<ScanMatch> matches;
   std::unique_ptr<JoinHashTable> ht;
 };
 
+const char* AccessName(AccessPath::Kind kind) {
+  switch (kind) {
+    case AccessPath::Kind::kIndexPoint:
+      return "INDEX POINT";
+    case AccessPath::Kind::kIndexRange:
+      return "INDEX RANGE";
+    case AccessPath::Kind::kScan:
+      break;
+  }
+  return "SCAN";
+}
+
+// EXPLAIN's rendering of a planned join, one line per pipeline stage:
+// the driver's access, each hash-join build with its table's access,
+// the terminal. `scan_threads` > 0 reports a vectorized driver scan.
+std::vector<std::string> RenderPipeline(const JoinSchema& js,
+                                        const JoinPlan& plan,
+                                        const SelectList& out,
+                                        int scan_threads) {
+  std::vector<std::string> pipeline;
+  const AccessPath::Kind driver_access = plan.access[plan.driver].kind;
+  std::string head = StrFormat(
+      "%s %s (est %lld rows)", AccessName(driver_access),
+      js.table(plan.driver).name.c_str(),
+      static_cast<long long>(plan.est[plan.driver]));
+  if (scan_threads > 0 && driver_access == AccessPath::Kind::kScan) {
+    head += StrFormat(" [vectorized x%d]", scan_threads);
+  }
+  pipeline.push_back(std::move(head));
+  for (const JoinStepPlan& step : plan.steps) {
+    std::string s = StrFormat(
+        "HASH JOIN build %s (%s, est %lld rows) ON %s = %s",
+        js.table(step.table_idx).name.c_str(),
+        AccessName(plan.access[step.table_idx].kind),
+        static_cast<long long>(step.est_rows),
+        js.ColumnDisplayName(step.probe_col).c_str(),
+        js.ColumnDisplayName(step.build_col).c_str());
+    if (!step.residuals.empty()) {
+      s += StrFormat(" + %d residual", static_cast<int>(step.residuals.size()));
+    }
+    pipeline.push_back(std::move(s));
+  }
+  if (out.agg) {
+    pipeline.push_back(StrFormat("GROUP AGGREGATE (%d keys, %d aggs)",
+                                 static_cast<int>(out.group_cols.size()),
+                                 static_cast<int>(out.specs.size())));
+  } else {
+    pipeline.push_back(
+        StrFormat("PROJECT %d cols", static_cast<int>(out.proj.size())));
+  }
+  return pipeline;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Database::ExecJoinedSelect
 
-Result<ResultSet> Database::ExecJoinedSelect(const SelectStmt& stmt,
-                                             const std::vector<Value>& params) {
+Result<ResultSet> Database::ExecJoinedSelect(
+    const SelectStmt& stmt, const std::vector<Value>& params,
+    std::vector<std::string>* explain) {
   std::shared_lock<std::shared_mutex> catalog(catalog_mu_);
-
-  // Resolve the FROM list and latch every table (shared), in ascending
-  // table-name order so the hierarchy stays deadlock-free against
-  // multi-table write units (which latch in the same order).
-  std::vector<std::string> names;
-  names.push_back(stmt.table);
-  for (const JoinClause& jc : stmt.joins) names.push_back(jc.table);
-  std::vector<TableEntry*> entries;
+  const std::vector<std::string_view> names = FromList(stmt);
+  LatchedTables latched;
+  HEDC_RETURN_IF_ERROR(LatchTables(names, /*exclusive=*/false, &latched));
   JoinSchema js;
-  for (const std::string& name : names) {
-    TableEntry* entry = FindEntry(name);
-    if (entry == nullptr) return Status::NotFound("table " + name);
-    entries.push_back(entry);
-    HEDC_RETURN_IF_ERROR(js.AddTable(name, &entry->table));
+  for (size_t i = 0; i < names.size(); ++i) {
+    HEDC_RETURN_IF_ERROR(
+        js.AddTable(std::string(names[i]), &latched.entries[i]->table));
   }
-  std::vector<TableEntry*> latch_order = entries;
-  std::sort(latch_order.begin(), latch_order.end(),
-            [](const TableEntry* a, const TableEntry* b) {
-              return ToLower(a->table.name()) < ToLower(b->table.name());
-            });
-  std::vector<std::shared_lock<std::shared_mutex>> latches;
-  latches.reserve(latch_order.size());
-  for (TableEntry* e : latch_order) latches.emplace_back(e->latch);
-
-  stats_.joins.fetch_add(1, std::memory_order_relaxed);
-
   JoinPlan plan;
   HEDC_RETURN_IF_ERROR(PlanJoin(stmt, js, params, exec_options_, &plan));
-  JoinOutput out;
+  SelectList out;
   HEDC_RETURN_IF_ERROR(ResolveJoinOutput(stmt, js, &out));
+  const ScanOptions sopts = StatementScanOptions();
+  if (explain != nullptr) {
+    *explain = RenderPipeline(
+        js, plan, out,
+        exec_options_.vectorized
+            ? PlannedScanThreads(*js.table(plan.driver).table, sopts)
+            : 0);
+    return ResultSet{};
+  }
+  stats_.joins.fetch_add(1, std::memory_order_relaxed);
 
   const size_t nsteps = plan.steps.size();
-  const size_t total_cols = js.total_columns();
-  const bool vectorized = exec_options_.vectorized;
+  const int threads = exec_options_.vectorized ? sopts.threads : 1;
 
-  // --- Gather one table's surviving rows under its local predicate.
-  // Index candidates when usable (residual re-checked row-at-a-time),
-  // else the vectorized batched scan, else the legacy row scan.
-  auto gather = [&](size_t t_idx,
-                    std::vector<ScanMatch>* matches) -> Status {
-    Table* table = &entries[t_idx]->table;
-    const Expr* lw = plan.local[t_idx].get();
-    bool used_index = false;
-    std::vector<int64_t> candidates;
-    HEDC_RETURN_IF_ERROR(
-        CollectIndexCandidates(table, lw, &candidates, &used_index));
-    if (used_index) {
-      int64_t stale = 0;
-      for (int64_t row_id : candidates) {
-        const Row* row = table->Find(row_id);
-        if (row == nullptr) {
-          ++stale;
-          continue;
-        }
-        stats_.rows_examined.fetch_add(1, std::memory_order_relaxed);
-        if (lw != nullptr) {
-          HEDC_ASSIGN_OR_RETURN(Value keep, EvalExpr(*lw, *row));
-          if (!keep.AsBool()) continue;
-        }
-        matches->push_back(ScanMatch{row_id, row});
-      }
-      if (stale > 0) {
-        stats_.stale_index_entries.fetch_add(stale,
-                                             std::memory_order_relaxed);
-      }
-      return Status::Ok();
-    }
-    if (vectorized) {
-      ScanOptions sopts;
-      sopts.zone_maps = exec_options_.zone_maps;
-      sopts.threads = exec_options_.scan_threads;
-      sopts.pool = exec_options_.scan_threads > 1 ? ScanPool() : nullptr;
-      ScanStats sstats;
-      HEDC_RETURN_IF_ERROR(ScanFilter(*table, lw, sopts, matches, &sstats));
-      stats_.rows_examined.fetch_add(sstats.rows_scanned,
-                                     std::memory_order_relaxed);
-      stats_.morsels_pruned.fetch_add(sstats.morsels_pruned,
-                                      std::memory_order_relaxed);
-      return Status::Ok();
-    }
-    Status eval_error;
-    int64_t examined = 0;
-    table->Scan([&](int64_t row_id, const Row& row) {
-      ++examined;
-      if (lw != nullptr) {
-        Result<Value> keep = EvalExpr(*lw, row);
-        if (!keep.ok()) {
-          eval_error = keep.status();
-          return false;
-        }
-        if (!keep.value().AsBool()) return true;
-      }
-      matches->push_back(ScanMatch{row_id, &row});
-      return true;
-    });
-    stats_.rows_examined.fetch_add(examined, std::memory_order_relaxed);
-    return eval_error;
-  };
-
-  // --- Build phase: hash tables over every non-driver table.
-  const size_t partitions = static_cast<size_t>(
-      std::clamp(exec_options_.join_partitions, 1, 64));
+  // --- Every table's rows come from the one access path: the build
+  // sides' into hash tables, the driver's into the probe below.
   std::vector<BuiltSide> built(nsteps);
   for (size_t s = 0; s < nsteps; ++s) {
     const JoinStepPlan& step = plan.steps[s];
-    HEDC_RETURN_IF_ERROR(gather(step.table_idx, &built[s].matches));
+    const size_t t = step.table_idx;
+    HEDC_RETURN_IF_ERROR(MatchRows(*js.table(t).table, plan.local[t].get(),
+                                   std::move(plan.access[t]),
+                                   &built[s].matches));
     built[s].ht = std::make_unique<JoinHashTable>(
-        js.LocalColumn(step.build_col), step.coerce_numeric,
-        vectorized ? partitions : 1);
-    built[s].ht->Build(
-        built[s].matches,
-        exec_options_.scan_threads > 1 ? ScanPool() : nullptr,
-        vectorized ? exec_options_.scan_threads : 1);
+        js.LocalColumn(step.build_col), step.coerce_numeric);
+    built[s].ht->Build(built[s].matches, sopts.pool, threads);
   }
+  std::vector<ScanMatch> driver;
+  HEDC_RETURN_IF_ERROR(MatchRows(
+      *js.table(plan.driver).table, plan.local[plan.driver].get(),
+      std::move(plan.access[plan.driver]), &driver));
 
-  // --- Probe-side tuple machinery shared by both modes. A tuple is a
-  // driver row plus one matched build row per completed step; tuples
-  // are flat arrays (`pos` into the driver batch, `rows` with stride
-  // nsteps) so the per-morsel pipeline allocates nothing after warmup.
+  // --- Probe. A tuple is a driver row (its index in `driver`) plus one
+  // matched build row per completed step; tuples are flat arrays (`rows`
+  // with stride nsteps) so a batch allocates nothing after warmup.
   struct TupleBuf {
     std::vector<uint32_t> pos;
     std::vector<const Row*> rows;  // stride = nsteps
   };
-
+  struct ProbeWorker {
+    TupleBuf cur, next;
+    Row scratch;  // combined row for residuals and aggregation
+  };
   const size_t driver_offset = js.table(plan.driver).offset;
-  const Table& driver_table = *js.table(plan.driver).table;
-  const size_t driver_cols = driver_table.schema().num_columns();
 
-  // Flat combined-row value of `flat` for tuple k of `t` whose driver
-  // row is `drow`.
-  auto value_at = [&](const Row& drow, const TupleBuf& t, size_t k,
+  // Flat combined-row value of `flat` for tuple k of `t`.
+  auto value_at = [&](const TupleBuf& t, size_t k,
                       size_t flat) -> const Value& {
     const size_t ti = js.TableOfColumn(flat);
     const size_t local = js.LocalColumn(flat);
-    if (ti == plan.driver) return drow[local];
+    if (ti == plan.driver) return (*driver[t.pos[k]].row)[local];
     return (*t.rows[k * nsteps +
                     static_cast<size_t>(plan.step_of_table[ti])])[local];
   };
@@ -791,44 +740,49 @@ Result<ResultSet> Database::ExecJoinedSelect(const SelectStmt& stmt,
   // columns, completed steps, plus the candidate row for step `s`.
   // Unavailable tables keep stale values; residual attachment
   // guarantees they are never read.
-  auto assemble = [&](const Row& drow, const TupleBuf& t, size_t k, size_t s,
+  auto assemble = [&](const TupleBuf& t, size_t k, size_t s,
                       const Row* candidate, Row* scratch) {
-    for (size_t c = 0; c < driver_cols; ++c) {
-      (*scratch)[driver_offset + c] = drow[c];
-    }
+    const Row& drow = *driver[t.pos[k]].row;
+    std::copy(drow.begin(), drow.end(), scratch->begin() + driver_offset);
     for (size_t s2 = 0; s2 <= s; ++s2) {
-      const Row* brow =
-          s2 == s ? candidate : t.rows[k * nsteps + s2];
+      const Row* brow = s2 == s ? candidate : t.rows[k * nsteps + s2];
       const size_t off = js.table(plan.steps[s2].table_idx).offset;
-      for (size_t c = 0; c < brow->size(); ++c) {
-        (*scratch)[off + c] = (*brow)[c];
-      }
+      std::copy(brow->begin(), brow->end(), scratch->begin() + off);
     }
   };
 
-  // Runs the join steps over one batch of driver rows (`cur.pos`
-  // preloaded with surviving batch indexes), leaving surviving tuples
-  // in `cur`. `driver_row(i)` maps a batch index to its Row.
-  auto run_steps = [&](const std::function<const Row&(uint32_t)>& driver_row,
-                       TupleBuf* cur, TupleBuf* next,
-                       Row* scratch) -> Status {
+  // Runs the driver rows [lo, hi) through every join step and emits the
+  // surviving tuples into `agg` or `rows_out`. A trailing sort-key
+  // column is appended to projected rows when ORDER BY reshuffles them
+  // afterwards.
+  const bool keyed_sort = out.order_col.has_value();
+  std::vector<size_t> needed;  // flat columns the aggregate reads
+  for (int c : out.group_cols) needed.push_back(static_cast<size_t>(c));
+  for (const AggSpec& spec : out.specs) {
+    if (spec.col >= 0) needed.push_back(static_cast<size_t>(spec.col));
+  }
+  auto probe = [&](size_t lo, size_t hi, ProbeWorker* w,
+                   GroupedAggregator* agg,
+                   std::vector<Row>* rows_out) -> Status {
+    TupleBuf* cur = &w->cur;
+    TupleBuf* next = &w->next;
+    cur->pos.resize(hi - lo);
+    std::iota(cur->pos.begin(), cur->pos.end(), static_cast<uint32_t>(lo));
+    cur->rows.clear();
     for (size_t s = 0; s < nsteps; ++s) {
       const JoinStepPlan& step = plan.steps[s];
-      const JoinHashTable& ht = *built[s].ht;
       next->pos.clear();
       next->rows.clear();
-      const size_t ntuples = cur->pos.size();
-      for (size_t k = 0; k < ntuples; ++k) {
-        const Row& drow = driver_row(cur->pos[k]);
-        const Value& key = value_at(drow, *cur, k, step.probe_col);
-        const std::vector<const Row*>* hits = ht.Probe(key);
+      for (size_t k = 0; k < cur->pos.size(); ++k) {
+        const std::vector<const Row*>* hits =
+            built[s].ht->Probe(value_at(*cur, k, step.probe_col));
         if (hits == nullptr) continue;
         for (const Row* brow : *hits) {
           if (!step.residuals.empty()) {
-            assemble(drow, *cur, k, s, brow, scratch);
+            assemble(*cur, k, s, brow, &w->scratch);
             bool keep = true;
             for (const Expr* res : step.residuals) {
-              HEDC_ASSIGN_OR_RETURN(Value v, EvalExpr(*res, *scratch));
+              HEDC_ASSIGN_OR_RETURN(Value v, EvalExpr(*res, w->scratch));
               if (!v.AsBool()) {
                 keep = false;
                 break;
@@ -843,235 +797,63 @@ Result<ResultSet> Database::ExecJoinedSelect(const SelectStmt& stmt,
           }
         }
       }
-      std::swap(*cur, *next);
+      std::swap(cur, next);
     }
-    return Status::Ok();
-  };
-
-  // --- Terminal state. Aggregation accumulates into worker-local
-  // GroupedAggregator forks; projection collects per-batch row vectors
-  // merged in driver order (a trailing sort-key column is appended when
-  // ORDER BY reshuffles afterwards).
-  GroupedAggregator agg_proto(out.group_cols, out.specs);
-  const bool keyed_sort = out.order_col.has_value();
-
-  auto emit_tuples = [&](const std::function<const Row&(uint32_t)>& driver_row,
-                         const std::function<int64_t(uint32_t)>& driver_id,
-                         const TupleBuf& cur, GroupedAggregator* agg,
-                         Row* scratch, std::vector<Row>* rows_out) {
-    const size_t ntuples = cur.pos.size();
-    for (size_t k = 0; k < ntuples; ++k) {
-      const Row& drow = driver_row(cur.pos[k]);
+    for (size_t k = 0; k < cur->pos.size(); ++k) {
       if (out.agg) {
-        for (size_t flat : out.needed) {
-          (*scratch)[flat] = value_at(drow, cur, k, flat);
-        }
-        agg->AccumulateRow(*scratch, driver_id(cur.pos[k]));
+        for (size_t flat : needed) w->scratch[flat] = value_at(*cur, k, flat);
+        agg->AccumulateRow(w->scratch, driver[cur->pos[k]].row_id);
         continue;
       }
       Row r;
       r.reserve(out.proj.size() + (keyed_sort ? 1 : 0));
-      for (size_t flat : out.proj) r.push_back(value_at(drow, cur, k, flat));
-      if (keyed_sort) r.push_back(value_at(drow, cur, k, *out.order_col));
+      for (size_t flat : out.proj) r.push_back(value_at(*cur, k, flat));
+      if (keyed_sort) r.push_back(value_at(*cur, k, *out.order_col));
       rows_out->push_back(std::move(r));
     }
-    stats_.rows_matched.fetch_add(static_cast<int64_t>(ntuples),
-                                  std::memory_order_relaxed);
+    return Status::Ok();
   };
 
-  GroupedAggregator agg_total = agg_proto.Fork();
+  // Many driver rows probe in parallel, in batches claimed off the pool;
+  // per-batch slots keep the output in driver order.
+  constexpr size_t kProbeBatch = 1024;
+  const size_t nbatches = (driver.size() + kProbeBatch - 1) / kProbeBatch;
+  const int workers =
+      sopts.pool != nullptr &&
+              static_cast<int64_t>(driver.size()) >= sopts.min_parallel_rows
+          ? static_cast<int>(std::min<size_t>(threads, nbatches))
+          : 1;
+  GroupedAggregator agg_total(out.group_cols, out.specs);
   std::vector<Row> plain_rows;
-
-  const Expr* driver_where = plan.local[plan.driver].get();
-  bool driver_used_index = false;
-  std::vector<int64_t> driver_candidates;
-  HEDC_RETURN_IF_ERROR(CollectIndexCandidates(
-      &entries[plan.driver]->table, driver_where, &driver_candidates,
-      &driver_used_index));
-
-  if (driver_used_index || !vectorized) {
-    // Serial probe: index candidates (both modes) or the row-at-a-time
-    // fallback. Driver rows stream in row-id order through the same
-    // step pipeline, one batch of one row... batching still pays for
-    // the tuple buffers, so batch up to the morsel size.
-    std::vector<ScanMatch> driver_matches;
-    if (driver_used_index) {
-      int64_t stale = 0;
-      Table* table = &entries[plan.driver]->table;
-      for (int64_t row_id : driver_candidates) {
-        const Row* row = table->Find(row_id);
-        if (row == nullptr) {
-          ++stale;
-          continue;
-        }
-        stats_.rows_examined.fetch_add(1, std::memory_order_relaxed);
-        if (driver_where != nullptr) {
-          HEDC_ASSIGN_OR_RETURN(Value keep, EvalExpr(*driver_where, *row));
-          if (!keep.AsBool()) continue;
-        }
-        driver_matches.push_back(ScanMatch{row_id, row});
-      }
-      if (stale > 0) {
-        stats_.stale_index_entries.fetch_add(stale,
-                                             std::memory_order_relaxed);
-      }
-    } else {
-      // Row mode, no index: legacy heap scan (the driver's
-      // CollectIndexCandidates above already counted the full scan).
-      Table* table = &entries[plan.driver]->table;
-      Status eval_error;
-      int64_t examined = 0;
-      table->Scan([&](int64_t row_id, const Row& row) {
-        ++examined;
-        if (driver_where != nullptr) {
-          Result<Value> keep = EvalExpr(*driver_where, row);
-          if (!keep.ok()) {
-            eval_error = keep.status();
-            return false;
-          }
-          if (!keep.value().AsBool()) return true;
-        }
-        driver_matches.push_back(ScanMatch{row_id, &row});
-        return true;
-      });
-      stats_.rows_examined.fetch_add(examined, std::memory_order_relaxed);
-      HEDC_RETURN_IF_ERROR(eval_error);
-    }
-    TupleBuf cur, next;
-    Row scratch(total_cols);
-    auto driver_row = [&](uint32_t i) -> const Row& {
-      return *driver_matches[i].row;
-    };
-    auto driver_id = [&](uint32_t i) -> int64_t {
-      return driver_matches[i].row_id;
-    };
-    cur.pos.resize(driver_matches.size());
-    std::iota(cur.pos.begin(), cur.pos.end(), 0);
-    HEDC_RETURN_IF_ERROR(run_steps(driver_row, &cur, &next, &scratch));
-    emit_tuples(driver_row, driver_id, cur, &agg_total, &scratch,
-                &plain_rows);
+  if (workers <= 1) {
+    ProbeWorker w;
+    w.scratch.resize(js.total_columns());
+    HEDC_RETURN_IF_ERROR(
+        probe(0, driver.size(), &w, &agg_total, &plain_rows));
   } else {
-    // Vectorized probe: morsel-driven over the driver table, the local
-    // predicate compiled to filter kernels, join steps probed per
-    // chunk.
-    const FilterPlan fplan = CompileFilter(driver_where);
-    std::vector<const Table::Morsel*> morsels;
-    if (exec_options_.zone_maps && driver_where != nullptr) {
-      const auto bounds = ExtractColumnBounds(driver_where);
-      if (!bounds.empty()) {
-        int64_t pruned = 0;
-        PruneMorsels(driver_table, bounds, &morsels, &pruned);
-        stats_.morsels_pruned.fetch_add(pruned, std::memory_order_relaxed);
-      } else {
-        driver_table.ListMorsels(&morsels);
-      }
-    } else {
-      driver_table.ListMorsels(&morsels);
+    std::vector<ProbeWorker> ws(static_cast<size_t>(workers));
+    std::vector<GroupedAggregator> partials;
+    for (ProbeWorker& w : ws) {
+      w.scratch.resize(js.total_columns());
+      partials.push_back(agg_total.Fork());
     }
-
-    // Per-morsel worker body; projection output lands in the morsel's
-    // slot so the merged result preserves driver row order.
-    auto probe_morsel = [&](const Table::Morsel& m, DataChunk* chunk,
-                            std::vector<uint32_t>* sel, TupleBuf* cur,
-                            TupleBuf* next, Row* scratch,
-                            GroupedAggregator* agg,
-                            std::vector<Row>* rows_out) -> Status {
-      driver_table.FillChunk(m, chunk);
-      sel->resize(chunk->size());
-      std::iota(sel->begin(), sel->end(), 0);
-      HEDC_RETURN_IF_ERROR(ApplyFilter(fplan, chunk, sel));
-      stats_.rows_examined.fetch_add(static_cast<int64_t>(chunk->size()),
-                                     std::memory_order_relaxed);
-      cur->pos = *sel;
-      auto driver_row = [&](uint32_t i) -> const Row& {
-        return chunk->row(i);
-      };
-      auto driver_id = [&](uint32_t i) -> int64_t {
-        return chunk->row_id(i);
-      };
-      HEDC_RETURN_IF_ERROR(run_steps(driver_row, cur, next, scratch));
-      emit_tuples(driver_row, driver_id, *cur, agg, scratch, rows_out);
-      return Status::Ok();
-    };
-
-    ScanOptions sopts;
-    sopts.zone_maps = exec_options_.zone_maps;
-    sopts.threads = exec_options_.scan_threads;
-    sopts.pool = exec_options_.scan_threads > 1 ? ScanPool() : nullptr;
-    const int threads =
-        sopts.pool != nullptr ? PlannedScanThreads(driver_table, sopts) : 1;
-
-    if (threads <= 1 || morsels.size() <= 1) {
-      DataChunk chunk;
-      std::vector<uint32_t> sel;
-      TupleBuf cur, next;
-      Row scratch(total_cols);
-      for (const Table::Morsel* m : morsels) {
-        HEDC_RETURN_IF_ERROR(probe_morsel(*m, &chunk, &sel, &cur, &next,
-                                          &scratch, &agg_total,
-                                          &plain_rows));
-      }
-    } else {
-      std::atomic<size_t> next_morsel{0};
-      std::atomic<bool> stop{false};
-      std::vector<GroupedAggregator> partials;
-      partials.reserve(static_cast<size_t>(threads));
-      for (int t = 0; t < threads; ++t) partials.push_back(agg_proto.Fork());
-      std::vector<std::vector<Row>> slots(morsels.size());
-      std::mutex err_mu;
-      Status first_error = Status::Ok();
-
-      auto worker = [&](int t) {
-        DataChunk chunk;
-        std::vector<uint32_t> sel;
-        TupleBuf cur, nxt;
-        Row scratch(total_cols);
-        while (!stop.load(std::memory_order_relaxed)) {
-          const size_t i =
-              next_morsel.fetch_add(1, std::memory_order_relaxed);
-          if (i >= morsels.size()) break;
-          Status s = probe_morsel(*morsels[i], &chunk, &sel, &cur, &nxt,
-                                  &scratch, &partials[t], &slots[i]);
-          if (!s.ok()) {
-            {
-              std::lock_guard<std::mutex> lock(err_mu);
-              if (first_error.ok()) first_error = std::move(s);
-            }
-            stop.store(true, std::memory_order_relaxed);
-            break;
-          }
-        }
-      };
-
-      std::mutex done_mu;
-      std::condition_variable done_cv;
-      int launched = 0;
-      int done = 0;
-      for (int t = 1; t < threads; ++t) {
-        const bool ok = sopts.pool->TrySubmit([&, t] {
-          worker(t);
-          std::lock_guard<std::mutex> lock(done_mu);
-          ++done;
-          done_cv.notify_all();
-        });
-        if (ok) ++launched;
-      }
-      worker(0);
-      {
-        std::unique_lock<std::mutex> lock(done_mu);
-        done_cv.wait(lock, [&] { return done == launched; });
-      }
-      HEDC_RETURN_IF_ERROR(first_error);
-      for (const GroupedAggregator& p : partials) agg_total.MergeFrom(p);
-      for (std::vector<Row>& s : slots) {
-        for (Row& r : s) plain_rows.push_back(std::move(r));
-      }
+    std::vector<std::vector<Row>> slots(nbatches);
+    HEDC_RETURN_IF_ERROR(ParallelClaim(
+        sopts.pool, workers, nbatches, [&](int w, size_t b) {
+          return probe(b * kProbeBatch,
+                       std::min(driver.size(), (b + 1) * kProbeBatch),
+                       &ws[static_cast<size_t>(w)],
+                       &partials[static_cast<size_t>(w)], &slots[b]);
+        }));
+    for (const GroupedAggregator& p : partials) agg_total.MergeFrom(p);
+    for (std::vector<Row>& slot : slots) {
+      for (Row& r : slot) plain_rows.push_back(std::move(r));
     }
   }
 
   // --- Emit.
   ResultSet result;
-  result.columns = out.columns;
+  result.columns = std::move(out.columns);
   if (out.agg) {
     agg_total.Emit(out.layout, /*empty_input_row=*/out.group_cols.empty(),
                    &result.rows);
@@ -1093,94 +875,6 @@ Result<ResultSet> Database::ExecJoinedSelect(const SelectStmt& stmt,
     result.rows.resize(static_cast<size_t>(stmt.limit));
   }
   return result;
-}
-
-// ---------------------------------------------------------------------------
-// Database::ExplainJoinedSelect
-
-Result<std::vector<std::string>> Database::ExplainJoinedSelect(
-    const SelectStmt& stmt, const std::vector<Value>& params) {
-  std::shared_lock<std::shared_mutex> catalog(catalog_mu_);
-  std::vector<std::string> names;
-  names.push_back(stmt.table);
-  for (const JoinClause& jc : stmt.joins) names.push_back(jc.table);
-  std::vector<TableEntry*> entries;
-  JoinSchema js;
-  for (const std::string& name : names) {
-    TableEntry* entry = FindEntry(name);
-    if (entry == nullptr) return Status::NotFound("table " + name);
-    entries.push_back(entry);
-    HEDC_RETURN_IF_ERROR(js.AddTable(name, &entry->table));
-  }
-  std::vector<TableEntry*> latch_order = entries;
-  std::sort(latch_order.begin(), latch_order.end(),
-            [](const TableEntry* a, const TableEntry* b) {
-              return ToLower(a->table.name()) < ToLower(b->table.name());
-            });
-  std::vector<std::shared_lock<std::shared_mutex>> latches;
-  latches.reserve(latch_order.size());
-  for (TableEntry* e : latch_order) latches.emplace_back(e->latch);
-
-  JoinPlan plan;
-  HEDC_RETURN_IF_ERROR(PlanJoin(stmt, js, params, exec_options_, &plan));
-  JoinOutput out;
-  HEDC_RETURN_IF_ERROR(ResolveJoinOutput(stmt, js, &out));
-
-  std::vector<std::string> pipeline;
-  // Driver access: mirrors the executor's CollectIndexCandidates
-  // decision without touching the stats counters.
-  const Expr* dw = plan.local[plan.driver].get();
-  bool driver_indexed = false;
-  if (dw != nullptr) {
-    for (const auto& [col, b] : ExtractColumnBounds(dw)) {
-      const Table& t = *js.table(plan.driver).table;
-      if ((b.eq.has_value() &&
-           t.FindIndex(static_cast<size_t>(col), false) != nullptr) ||
-          (b.has_range() &&
-           t.FindIndex(static_cast<size_t>(col), true) != nullptr)) {
-        driver_indexed = true;
-        break;
-      }
-    }
-  }
-  std::string head = driver_indexed ? "INDEX SCAN " : "SCAN ";
-  head += js.table(plan.driver).name;
-  head += StrFormat(" (est %lld rows)",
-                    static_cast<long long>(plan.est[plan.driver]));
-  if (exec_options_.vectorized && !driver_indexed) {
-    ScanOptions sopts;
-    sopts.zone_maps = exec_options_.zone_maps;
-    sopts.threads = exec_options_.scan_threads;
-    sopts.pool = scan_pool_.get();  // sizing only
-    const int threads =
-        PlannedScanThreads(*js.table(plan.driver).table, sopts);
-    head += StrFormat(" [vectorized x%d]", threads);
-  }
-  pipeline.push_back(std::move(head));
-
-  for (const JoinStepPlan& step : plan.steps) {
-    std::string s = "HASH JOIN build ";
-    s += js.table(step.table_idx).name;
-    s += StrFormat(" (est %lld rows) ON ",
-                   static_cast<long long>(step.est_rows));
-    s += js.ColumnDisplayName(step.probe_col);
-    s += " = ";
-    s += js.ColumnDisplayName(step.build_col);
-    if (!step.residuals.empty()) {
-      s += StrFormat(" + %d residual", static_cast<int>(step.residuals.size()));
-    }
-    pipeline.push_back(std::move(s));
-  }
-
-  if (out.agg) {
-    pipeline.push_back(StrFormat("GROUP AGGREGATE (%d keys, %d aggs)",
-                                 static_cast<int>(out.group_cols.size()),
-                                 static_cast<int>(out.specs.size())));
-  } else {
-    pipeline.push_back(
-        StrFormat("PROJECT %d cols", static_cast<int>(out.proj.size())));
-  }
-  return pipeline;
 }
 
 }  // namespace hedc::db

@@ -12,20 +12,25 @@
 // WHERE and ON conjuncts are pooled, single-table conjuncts are pushed
 // down to their table's scan, column=column equalities become join
 // edges, and everything else is a residual interpreted at the earliest
-// step where all referenced tables are available. Zone-map row estimates
-// pick the probe (driver) side and the build order; the vectorized mode
-// probes partitioned hash tables morsel-at-a-time on the scan pool, the
-// row mode (db.vectorized=off) interprets the same plan tuple-at-a-time.
+// step where all referenced tables are available. Row estimates pick the
+// probe (driver) side and the build order. Every table's rows come from
+// the one per-table access path the single-table executor uses
+// (Database::MatchRows); the driver's survivors then probe the hash
+// tables in batches, on the scan pool when there are many.
 #ifndef HEDC_DB_JOIN_H_
 #define HEDC_DB_JOIN_H_
 
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/status.h"
 #include "db/expr.h"
+#include "db/sql.h"
 #include "db/table.h"
+#include "db/vectorized.h"
 
 namespace hedc::db {
 
@@ -72,13 +77,38 @@ class JoinSchema {
 Status BindExprJoined(Expr* expr, const JoinSchema& schema,
                       const std::vector<Value>& params);
 
-// Rewrites "table.column" references to bare "column" in place when the
-// qualifier names `table` (case-insensitive); used by the single-table
-// executor so qualified names keep working without a JoinSchema.
-void StripQualifiers(Expr* expr, const std::string& table);
-
-// Single-name variant of the rewrite above.
+// Rewrites "table.column" to bare "column" when the qualifier names
+// `table` (case-insensitive), so single-table statements accept the
+// qualified names a joined one needs.
 std::string StripQualifier(const std::string& name, const std::string& table);
+
+// Clones `expr` and binds it against the one table `table` of a
+// SELECT, UPDATE or DELETE: "table.column" resolves like "column", '?'
+// markers take `params`. Null `expr` binds to null.
+Result<std::unique_ptr<Expr>> BindTableExpr(const Expr* expr,
+                                            const std::string& table,
+                                            const Schema& schema,
+                                            const std::vector<Value>& params);
+
+// A SELECT's output shape, resolved once by one rule for the
+// single-table and the joined executor. Column indexes are the
+// executor's own: table-local, or flat over a JoinSchema.
+struct SelectList {
+  bool agg = false;  // aggregates or GROUP BY
+  std::vector<int> group_cols;
+  std::vector<AggSpec> specs;
+  std::vector<GroupedAggregator::OutputSlot> layout;
+  std::vector<size_t> proj;  // output columns when not aggregating
+  std::vector<std::string> columns;  // result column names
+  std::optional<size_t> order_col;
+};
+
+// `resolve` maps a column name to its index (or the error to report);
+// SELECT * lists the `num_columns` columns named by `star_name`.
+Status ResolveSelectList(
+    const SelectStmt& stmt, size_t num_columns,
+    const std::function<Result<size_t>(const std::string&)>& resolve,
+    const std::function<std::string(size_t)>& star_name, SelectList* out);
 
 // Canonicalizes a join-key value so that hashing agrees with
 // Value::Compare across the physical types the two key columns can

@@ -97,4 +97,39 @@ std::unordered_map<int, ColumnBounds> ExtractColumnBounds(const Expr* where) {
   return bounds;
 }
 
+
+AccessPath ChooseAccessPath(const Table& table, const Expr* where) {
+  AccessPath path;
+  path.bounds = ExtractColumnBounds(where);
+  for (const auto& [col, b] : path.bounds) {
+    if (!b.eq.has_value()) continue;
+    path.index = table.FindIndex(static_cast<size_t>(col), /*need_range=*/false);
+    if (path.index != nullptr) {
+      path.kind = AccessPath::Kind::kIndexPoint;
+      return path;
+    }
+  }
+  for (const auto& [col, b] : path.bounds) {
+    if (!b.has_range()) continue;
+    path.index = table.FindIndex(static_cast<size_t>(col), /*need_range=*/true);
+    if (path.index != nullptr) {
+      path.kind = AccessPath::Kind::kIndexRange;
+      return path;
+    }
+  }
+  return path;
+}
+
+void FetchCandidates(const Table& table, AccessPath* path) {
+  if (path->kind == AccessPath::Kind::kScan || path->fetched) return;
+  path->fetched = true;
+  const ColumnBounds& b = path->bounds.at(static_cast<int>(path->index->column));
+  if (path->kind == AccessPath::Kind::kIndexPoint) {
+    table.IndexLookup(*path->index, *b.eq, &path->candidates);
+  } else {
+    table.IndexRange(*path->index, b.lo, b.lo_inclusive, b.hi, b.hi_inclusive,
+                     &path->candidates);
+  }
+}
+
 }  // namespace hedc::db

@@ -1,6 +1,7 @@
 // Sargability analysis shared by the executor, the plan explainer and
-// the vectorized scan's zone-map pruning: AND-conjunct decomposition and
-// per-column literal bounds extracted from a bound WHERE tree.
+// the vectorized scan's zone-map pruning: AND-conjunct decomposition,
+// per-column literal bounds extracted from a bound WHERE tree, and the
+// one index choice made from those bounds.
 #ifndef HEDC_DB_SCAN_BOUNDS_H_
 #define HEDC_DB_SCAN_BOUNDS_H_
 
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "db/expr.h"
+#include "db/table.h"
 #include "db/value.h"
 
 namespace hedc::db {
@@ -35,6 +37,28 @@ void ExtractBound(const Expr* e,
 
 // Convenience: conjunct decomposition + bound extraction in one call.
 std::unordered_map<int, ColumnBounds> ExtractColumnBounds(const Expr* where);
+
+// How one table's rows under a bound predicate are found: through an
+// index (its row ids are candidates; the whole predicate is re-checked
+// on each) or by a scan of the heap.
+struct AccessPath {
+  enum class Kind { kScan, kIndexPoint, kIndexRange };
+  Kind kind = Kind::kScan;
+  const IndexDef* index = nullptr;  // null for kScan
+  std::unordered_map<int, ColumnBounds> bounds;  // of the whole predicate
+  // The index's row ids, filled once by FetchCandidates.
+  std::vector<int64_t> candidates;
+  bool fetched = false;
+};
+
+// The index choice every reader of a table makes (executor, join
+// estimate, EXPLAIN): an indexed equality first, then an indexed range,
+// else a scan. `where` is bound against `table` (null = no predicate).
+AccessPath ChooseAccessPath(const Table& table, const Expr* where);
+
+// Looks the candidates of an index path up (once; later calls keep
+// them). No-op for a scan.
+void FetchCandidates(const Table& table, AccessPath* path);
 
 }  // namespace hedc::db
 

@@ -471,25 +471,97 @@ int PlannedScanThreads(const Table& table, const ScanOptions& opts) {
   return t < 1 ? 1 : static_cast<int>(t);
 }
 
+Status ParallelClaim(ThreadPool* pool, int threads, size_t items,
+                     const std::function<Status(int, size_t)>& body,
+                     int* used) {
+  std::atomic<size_t> next{0};
+  std::atomic<bool> stop{false};
+  std::mutex mu;
+  std::condition_variable done_cv;
+  Status first_error = Status::Ok();
+  int launched = 0;
+  int done = 0;
+  auto worker = [&](int w) {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= items) break;
+      Status s = body(w, i);
+      if (!s.ok()) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (first_error.ok()) first_error = std::move(s);
+        stop.store(true, std::memory_order_relaxed);
+        break;
+      }
+    }
+  };
+  for (int w = 1; pool != nullptr && w < threads; ++w) {
+    const bool ok = pool->TrySubmit([&, w] {
+      worker(w);
+      std::lock_guard<std::mutex> lock(mu);
+      ++done;
+      done_cv.notify_all();
+    });
+    if (ok) ++launched;
+  }
+  worker(0);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    done_cv.wait(lock, [&] { return done == launched; });
+  }
+  if (used != nullptr) *used = launched + 1;
+  return first_error;
+}
+
 namespace {
 
-// Runs `plan` over one morsel; appends survivors to `out`.
-Status FilterMorsel(const Table& table, const Table::Morsel& m,
-                    const FilterPlan& plan, DataChunk* chunk,
-                    std::vector<uint32_t>* sel, std::vector<ScanMatch>* out,
-                    int64_t* scanned, int64_t* matched) {
-  table.FillChunk(m, chunk);
-  sel->resize(chunk->size());
-  std::iota(sel->begin(), sel->end(), 0);
-  HEDC_RETURN_IF_ERROR(ApplyFilter(plan, chunk, sel));
-  *scanned += static_cast<int64_t>(chunk->size());
-  *matched += static_cast<int64_t>(sel->size());
-  // No reserve here: exact-fit reserve per morsel would defeat
-  // push_back's geometric growth and turn large result sets quadratic.
-  for (uint32_t i : *sel) {
-    out->push_back(ScanMatch{chunk->row_id(i), chunk->row_ptr(i)});
+// The morsels a scan of `table` under `where` visits: all of them, or
+// those the zone maps cannot rule out.
+void ScanMorsels(const Table& table, const Expr* where, bool zone_maps,
+                 std::vector<const Table::Morsel*>* out, ScanStats* stats) {
+  stats->morsels_total = static_cast<int64_t>(table.num_morsels());
+  if (zone_maps && where != nullptr) {
+    const auto bounds = ExtractColumnBounds(where);
+    if (!bounds.empty()) {
+      PruneMorsels(table, bounds, out, &stats->morsels_pruned);
+      return;
+    }
   }
+  table.ListMorsels(out);
+}
+
+// One scan worker's reusable buffers and its share of the counts.
+struct WorkerScratch {
+  DataChunk chunk;
+  std::vector<uint32_t> sel;
+  int64_t scanned = 0;
+  int64_t matched = 0;
+};
+
+// Fills `ws.chunk` from `m` and leaves the rows passing `plan` in
+// `ws.sel`.
+Status FilterMorsel(const Table& table, const Table::Morsel& m,
+                    const FilterPlan& plan, WorkerScratch* ws) {
+  table.FillChunk(m, &ws->chunk);
+  ws->sel.resize(ws->chunk.size());
+  std::iota(ws->sel.begin(), ws->sel.end(), 0);
+  HEDC_RETURN_IF_ERROR(ApplyFilter(plan, &ws->chunk, &ws->sel));
+  ws->scanned += static_cast<int64_t>(ws->chunk.size());
+  ws->matched += static_cast<int64_t>(ws->sel.size());
   return Status::Ok();
+}
+
+// Appends the rows FilterMorsel kept. No reserve here: exact-fit reserve
+// per morsel would defeat push_back's geometric growth and turn large
+// result sets quadratic.
+void AppendMatches(const WorkerScratch& ws, std::vector<ScanMatch>* out) {
+  for (uint32_t i : ws.sel) {
+    out->push_back(ScanMatch{ws.chunk.row_id(i), ws.chunk.row_ptr(i)});
+  }
+}
+
+void AddCounts(const WorkerScratch& ws, ScanStats* stats) {
+  stats->rows_scanned += ws.scanned;
+  stats->rows_matched += ws.matched;
 }
 
 }  // namespace
@@ -498,96 +570,42 @@ Status ScanFilter(const Table& table, const Expr* where,
                   const ScanOptions& opts, std::vector<ScanMatch>* out,
                   ScanStats* stats) {
   const FilterPlan plan = CompileFilter(where);
-
-  stats->morsels_total = static_cast<int64_t>(table.num_morsels());
   std::vector<const Table::Morsel*> morsels;
-  if (opts.zone_maps && where != nullptr) {
-    const auto bounds = ExtractColumnBounds(where);
-    if (!bounds.empty()) {
-      PruneMorsels(table, bounds, &morsels, &stats->morsels_pruned);
-    } else {
-      table.ListMorsels(&morsels);
-    }
-  } else {
-    table.ListMorsels(&morsels);
-  }
+  ScanMorsels(table, where, opts.zone_maps, &morsels, stats);
 
   const int threads =
       opts.pool != nullptr ? PlannedScanThreads(table, opts) : 1;
   if (threads <= 1 || morsels.size() <= 1) {
     stats->threads_used = 1;
-    DataChunk chunk;
-    std::vector<uint32_t> sel;
+    WorkerScratch ws;
+    Status status = Status::Ok();
     for (const Table::Morsel* m : morsels) {
-      HEDC_RETURN_IF_ERROR(FilterMorsel(table, *m, plan, &chunk, &sel, out,
-                                        &stats->rows_scanned,
-                                        &stats->rows_matched));
+      status = FilterMorsel(table, *m, plan, &ws);
+      if (!status.ok()) break;
+      AppendMatches(ws, out);
     }
-    return Status::Ok();
+    AddCounts(ws, stats);
+    return status;
   }
 
-  // Morsel-driven dispatch: workers claim the next unprocessed morsel
-  // off a shared counter, so fast workers absorb skew instead of
-  // waiting on a static partition. Survivors land in per-morsel slots
-  // and are merged afterwards, keeping ascending row-id output order.
-  // Note: a worker may evaluate rows the serial path would never reach
-  // past an interpreter error, so WHICH error surfaces (not whether)
-  // can differ from the serial path.
-  std::atomic<size_t> next{0};
-  std::atomic<bool> stop{false};
-  std::atomic<int64_t> scanned{0}, matched{0};
+  // Morsel-driven dispatch: survivors land in per-morsel slots and are
+  // merged afterwards, keeping ascending row-id output order. Note: a
+  // worker may evaluate rows the serial path would never reach past an
+  // interpreter error, so WHICH error surfaces (not whether) can differ
+  // from the serial path.
   std::vector<std::vector<ScanMatch>> slots(morsels.size());
-  std::mutex err_mu;
-  Status first_error = Status::Ok();
-
-  auto worker = [&] {
-    DataChunk chunk;
-    std::vector<uint32_t> sel;
-    int64_t local_scanned = 0, local_matched = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= morsels.size()) break;
-      Status s = FilterMorsel(table, *morsels[i], plan, &chunk, &sel,
-                              &slots[i], &local_scanned, &local_matched);
-      if (!s.ok()) {
-        {
-          std::lock_guard<std::mutex> lock(err_mu);
-          if (first_error.ok()) first_error = std::move(s);
-        }
-        stop.store(true, std::memory_order_relaxed);
-        break;
-      }
-    }
-    scanned.fetch_add(local_scanned, std::memory_order_relaxed);
-    matched.fetch_add(local_matched, std::memory_order_relaxed);
-  };
-
-  // Helpers are best-effort: if the pool is saturated the claim loop
-  // still drains every morsel on whoever did start (at minimum the
-  // caller, which always participates).
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  int launched = 0;
-  int done = 0;
-  for (int t = 1; t < threads; ++t) {
-    const bool ok = opts.pool->TrySubmit([&] {
-      worker();
-      std::lock_guard<std::mutex> lock(done_mu);
-      ++done;
-      done_cv.notify_all();
-    });
-    if (ok) ++launched;
-  }
-  worker();
-  {
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] { return done == launched; });
-  }
-
-  stats->threads_used = launched + 1;
-  stats->rows_scanned = scanned.load();
-  stats->rows_matched = matched.load();
-  if (!first_error.ok()) return first_error;
+  std::vector<WorkerScratch> scratch(static_cast<size_t>(threads));
+  const Status status = ParallelClaim(
+      opts.pool, threads, morsels.size(),
+      [&](int w, size_t i) {
+        WorkerScratch& ws = scratch[static_cast<size_t>(w)];
+        HEDC_RETURN_IF_ERROR(FilterMorsel(table, *morsels[i], plan, &ws));
+        AppendMatches(ws, &slots[i]);
+        return Status::Ok();
+      },
+      &stats->threads_used);
+  for (const WorkerScratch& ws : scratch) AddCounts(ws, stats);
+  HEDC_RETURN_IF_ERROR(status);
   size_t total = 0;
   for (const auto& slot : slots) total += slot.size();
   out->reserve(out->size() + total);
@@ -798,8 +816,8 @@ void GroupedAggregator::MergeFrom(const GroupedAggregator& other) {
       a.sum += oa.sum;
       if (oa.any) {
         UpdateMinMax(&a, oa.vmin);
+        a.any = true;  // before the max, or it overwrites the min
         UpdateMinMax(&a, oa.vmax);
-        a.any = true;
       }
     }
   }
@@ -872,104 +890,41 @@ Status ScanAggregate(const Table& table, const Expr* where,
                      const ScanOptions& opts, GroupedAggregator* agg,
                      ScanStats* stats) {
   const FilterPlan plan = CompileFilter(where);
-
-  stats->morsels_total = static_cast<int64_t>(table.num_morsels());
   std::vector<const Table::Morsel*> morsels;
-  if (opts.zone_maps && where != nullptr) {
-    const auto bounds = ExtractColumnBounds(where);
-    if (!bounds.empty()) {
-      PruneMorsels(table, bounds, &morsels, &stats->morsels_pruned);
-    } else {
-      table.ListMorsels(&morsels);
-    }
-  } else {
-    table.ListMorsels(&morsels);
-  }
-
-  auto aggregate_morsel = [&](const Table::Morsel& m, DataChunk* chunk,
-                              std::vector<uint32_t>* sel,
-                              GroupedAggregator* into, int64_t* scanned,
-                              int64_t* matched) -> Status {
-    table.FillChunk(m, chunk);
-    sel->resize(chunk->size());
-    std::iota(sel->begin(), sel->end(), 0);
-    HEDC_RETURN_IF_ERROR(ApplyFilter(plan, chunk, sel));
-    *scanned += static_cast<int64_t>(chunk->size());
-    *matched += static_cast<int64_t>(sel->size());
-    into->AccumulateChunk(chunk, *sel);
-    return Status::Ok();
-  };
+  ScanMorsels(table, where, opts.zone_maps, &morsels, stats);
 
   const int threads =
       opts.pool != nullptr ? PlannedScanThreads(table, opts) : 1;
   if (threads <= 1 || morsels.size() <= 1) {
     stats->threads_used = 1;
-    DataChunk chunk;
-    std::vector<uint32_t> sel;
+    WorkerScratch ws;
+    Status status = Status::Ok();
     for (const Table::Morsel* m : morsels) {
-      HEDC_RETURN_IF_ERROR(aggregate_morsel(*m, &chunk, &sel, agg,
-                                            &stats->rows_scanned,
-                                            &stats->rows_matched));
+      status = FilterMorsel(table, *m, plan, &ws);
+      if (!status.ok()) break;
+      agg->AccumulateChunk(&ws.chunk, ws.sel);
     }
-    return Status::Ok();
+    AddCounts(ws, stats);
+    return status;
   }
 
   // Morsel-driven claim loop as in ScanFilter; each worker owns a
   // partial aggregator merged into `agg` once every claim is drained.
-  std::atomic<size_t> next{0};
-  std::atomic<bool> stop{false};
-  std::atomic<int64_t> scanned{0}, matched{0};
   std::vector<GroupedAggregator> partials;
   partials.reserve(static_cast<size_t>(threads));
   for (int t = 0; t < threads; ++t) partials.push_back(agg->Fork());
-  std::mutex err_mu;
-  Status first_error = Status::Ok();
-
-  auto worker = [&](int t) {
-    DataChunk chunk;
-    std::vector<uint32_t> sel;
-    int64_t local_scanned = 0, local_matched = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= morsels.size()) break;
-      Status s = aggregate_morsel(*morsels[i], &chunk, &sel, &partials[t],
-                                  &local_scanned, &local_matched);
-      if (!s.ok()) {
-        {
-          std::lock_guard<std::mutex> lock(err_mu);
-          if (first_error.ok()) first_error = std::move(s);
-        }
-        stop.store(true, std::memory_order_relaxed);
-        break;
-      }
-    }
-    scanned.fetch_add(local_scanned, std::memory_order_relaxed);
-    matched.fetch_add(local_matched, std::memory_order_relaxed);
-  };
-
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  int launched = 0;
-  int done = 0;
-  for (int t = 1; t < threads; ++t) {
-    const bool ok = opts.pool->TrySubmit([&, t] {
-      worker(t);
-      std::lock_guard<std::mutex> lock(done_mu);
-      ++done;
-      done_cv.notify_all();
-    });
-    if (ok) ++launched;
-  }
-  worker(0);
-  {
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] { return done == launched; });
-  }
-
-  stats->threads_used = launched + 1;
-  stats->rows_scanned = scanned.load();
-  stats->rows_matched = matched.load();
-  if (!first_error.ok()) return first_error;
+  std::vector<WorkerScratch> scratch(static_cast<size_t>(threads));
+  const Status status = ParallelClaim(
+      opts.pool, threads, morsels.size(),
+      [&](int w, size_t i) {
+        WorkerScratch& ws = scratch[static_cast<size_t>(w)];
+        HEDC_RETURN_IF_ERROR(FilterMorsel(table, *morsels[i], plan, &ws));
+        partials[static_cast<size_t>(w)].AccumulateChunk(&ws.chunk, ws.sel);
+        return Status::Ok();
+      },
+      &stats->threads_used);
+  for (const WorkerScratch& ws : scratch) AddCounts(ws, stats);
+  HEDC_RETURN_IF_ERROR(status);
   for (const GroupedAggregator& partial : partials) agg->MergeFrom(partial);
   return Status::Ok();
 }

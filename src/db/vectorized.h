@@ -20,6 +20,7 @@
 #define HEDC_DB_VECTORIZED_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -113,6 +114,16 @@ struct ScanMatch {
 // assuming a pool is available (exposed so ExplainSelect reports the
 // same number without instantiating the pool).
 int PlannedScanThreads(const Table& table, const ScanOptions& opts);
+
+// Runs `body(worker, item)` for every item in [0, items) on up to
+// `threads` workers that claim items off a shared counter, so fast
+// workers absorb skew: the caller is worker 0 and `pool` runs the
+// others where it has room (a saturated pool leaves the caller more
+// items). Stops claiming at the first error and returns it; `*used`
+// (optional) receives the number of workers that ran.
+Status ParallelClaim(ThreadPool* pool, int threads, size_t items,
+                     const std::function<Status(int, size_t)>& body,
+                     int* used = nullptr);
 
 // Vectorized scan-filter over the whole table: compiles `where`, prunes
 // morsels via zone maps, fills chunks and applies the kernels, either

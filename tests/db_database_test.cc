@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "core/clock.h"
-#include "core/config.h"
 #include "core/metrics.h"
 #include "db/blob_store.h"
 #include "db/connection.h"
@@ -128,10 +127,10 @@ TEST_F(DatabaseTest, GroupByCount) {
 TEST_F(DatabaseTest, MixedAggregatesOverDistinctColumns) {
   // Aggregates over several different columns in one statement, on the
   // vectorized path and on the row fallback.
-  for (const char* vectorized : {"true", "false"}) {
-    Config config;
-    config.Set("db.vectorized", vectorized);
-    db_.Configure(config);
+  for (bool vectorized : {true, false}) {
+    ExecOptions opts = db_.exec_options();
+    opts.vectorized = vectorized;
+    db_.set_exec_options(opts);
     auto r = db_.Execute(
         "SELECT COUNT(*), SUM(start_time), AVG(peak_energy), MIN(hle_id), "
         "MAX(start_time) FROM hle");
@@ -154,10 +153,10 @@ TEST_F(DatabaseTest, CountColumnSkipsNulls) {
                              i % 2 == 0 ? Value::Null() : Value::Int(i)})
                     .ok());
   }
-  for (const char* vectorized : {"true", "false"}) {
-    Config config;
-    config.Set("db.vectorized", vectorized);
-    db_.Configure(config);
+  for (bool vectorized : {true, false}) {
+    ExecOptions opts = db_.exec_options();
+    opts.vectorized = vectorized;
+    db_.set_exec_options(opts);
     auto r = db_.Execute("SELECT COUNT(*), COUNT(b), SUM(b), AVG(b) FROM n");
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     const Row& row = r.value().rows[0];
@@ -169,10 +168,10 @@ TEST_F(DatabaseTest, CountColumnSkipsNulls) {
 }
 
 TEST_F(DatabaseTest, GroupByWithMultipleAggregates) {
-  for (const char* vectorized : {"true", "false"}) {
-    Config config;
-    config.Set("db.vectorized", vectorized);
-    db_.Configure(config);
+  for (bool vectorized : {true, false}) {
+    ExecOptions opts = db_.exec_options();
+    opts.vectorized = vectorized;
+    db_.set_exec_options(opts);
     auto r = db_.Execute(
         "SELECT owner, COUNT(*), SUM(start_time), MAX(peak_energy) "
         "FROM hle GROUP BY owner");
@@ -487,6 +486,34 @@ TEST_F(DatabaseTest, ScannedVersusMatchedCounters) {
   // The process-global metric pair (exported on /metrics) ticks in step.
   EXPECT_EQ(scanned_metric->Value(), metric_scanned_before + 200);
   EXPECT_EQ(matched_metric->Value(), metric_matched_before + 100);
+}
+
+// UPDATE and DELETE bind their WHERE (and SET expressions) exactly as
+// SELECT does, so a column qualified by the statement's own table works
+// and one qualified by another table does not.
+TEST_F(DatabaseTest, DmlAcceptsTableQualifiedWhere) {
+  ASSERT_TRUE(db_.Execute("CREATE TABLE a (id INT PRIMARY KEY, v INT)").ok());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(db_.Execute("INSERT INTO a VALUES (?, ?)",
+                            {Value::Int(i), Value::Int(i)})
+                    .ok());
+  }
+  auto upd = db_.Execute("UPDATE a SET v = a.v + 6 WHERE a.id = 3");
+  ASSERT_TRUE(upd.ok()) << upd.status().ToString();
+  EXPECT_EQ(upd.value().affected_rows, 1);
+  auto sel = db_.Execute("SELECT a.v FROM a WHERE a.id = 3");
+  ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+  ASSERT_EQ(sel.value().num_rows(), 1u);
+  EXPECT_EQ(sel.value().rows[0][0].AsInt(), 9);
+
+  auto del = db_.Execute("DELETE FROM a WHERE a.id = ?", {Value::Int(3)});
+  ASSERT_TRUE(del.ok()) << del.status().ToString();
+  EXPECT_EQ(del.value().affected_rows, 1);
+  EXPECT_EQ(db_.GetTable("a")->num_rows(), 4u);
+
+  EXPECT_FALSE(db_.Execute("UPDATE a SET v = 1 WHERE b.id = 1").ok());
+  EXPECT_FALSE(db_.Execute("DELETE FROM a WHERE b.id = 1").ok());
+  EXPECT_EQ(db_.GetTable("a")->num_rows(), 4u);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 // actual access-path choice (validated via the stats counters).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "core/rng.h"
 #include "db/explain.h"
 
 namespace hedc::db {
@@ -139,6 +143,94 @@ TEST_F(ExplainTest, RowAtATimePlanOmitsVectorizedSuffix) {
   EXPECT_FALSE(plan.value().vectorized);
   EXPECT_EQ(plan.value().ToString().find("vectorized"), std::string::npos);
 }
+
+// Property: for random predicates over columns with a hash index, a
+// B-tree index and no index, EXPLAIN's access for every table of a
+// single-table or joined SELECT is what the executor did, read from the
+// index_scans / full_scans deltas.
+class ExplainPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Occurrences of `needle` in `hay`.
+int Count(const std::string& hay, const std::string& needle) {
+  int n = 0;
+  for (size_t at = hay.find(needle); at != std::string::npos;
+       at = hay.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST_P(ExplainPropertyTest, ExplainedAccessIsExecutedAccess) {
+  Rng rng(GetParam());
+  Database db;
+  // p: h hash-indexed, b B-tree-indexed, n unindexed; q the same shape
+  // with k as the join key.
+  for (const char* t : {"p", "q"}) {
+    const std::string name(t);
+    ASSERT_TRUE(db.Execute("CREATE TABLE " + name +
+                           " (h INT, b INT, n INT, k INT)")
+                    .ok());
+    ASSERT_TRUE(db.Execute("CREATE INDEX " + name + "_h ON " + name +
+                           " (h) USING HASH")
+                    .ok());
+    ASSERT_TRUE(
+        db.Execute("CREATE INDEX " + name + "_b ON " + name + " (b)").ok());
+    for (int i = 0; i < 120; ++i) {
+      ASSERT_TRUE(db.Execute("INSERT INTO " + name + " VALUES (?, ?, ?, ?)",
+                             {Value::Int(i % 17), Value::Int(i % 23),
+                              Value::Int(i % 29), Value::Int(i % 31)})
+                      .ok());
+    }
+  }
+  // One random conjunct over `t`'s columns, sargable or not.
+  auto atom = [&](const std::string& t) {
+    static const char* kCols[] = {"h", "b", "n"};
+    static const char* kOps[] = {"=", "<", ">=", "<>"};
+    const std::string col = t + "." + kCols[rng.UniformInt(0, 2)];
+    const std::string lit = std::to_string(rng.UniformInt(0, 25));
+    if (rng.Bernoulli(0.15)) {
+      return "(" + col + " = " + lit + " OR " + col + " = 1)";
+    }
+    return col + " " + kOps[rng.UniformInt(0, 3)] + " " + lit;
+  };
+  auto predicate = [&](const std::string& t) {
+    std::string where = atom(t);
+    for (int i = rng.UniformInt(0, 2); i > 0; --i) where += " AND " + atom(t);
+    return where;
+  };
+
+  for (int step = 0; step < 150; ++step) {
+    ExecOptions opts = db.exec_options();
+    opts.vectorized = rng.Bernoulli(0.7);
+    db.set_exec_options(opts);
+    const bool joined = rng.Bernoulli(0.5);
+    const std::string sql =
+        joined ? "SELECT p.h FROM p JOIN q ON p.k = q.k WHERE " +
+                     predicate("p") + " AND " + predicate("q")
+               : "SELECT p.h FROM p WHERE " + predicate("p");
+    auto plan = ExplainSelect(&db, sql);
+    ASSERT_TRUE(plan.ok()) << sql << ": " << plan.status().ToString();
+    const std::string text = plan.value().ToString();
+    int indexed = 0;
+    if (joined) {
+      indexed = Count(text, "INDEX POINT") + Count(text, "INDEX RANGE");
+    } else if (plan.value().access != QueryPlan::Access::kFullScan) {
+      indexed = 1;
+    }
+    const int tables = joined ? 2 : 1;
+
+    const int64_t index_before = db.stats().index_scans.load();
+    const int64_t scans_before = db.stats().full_scans.load();
+    ASSERT_TRUE(db.Execute(sql).ok()) << sql;
+    EXPECT_EQ(db.stats().index_scans.load() - index_before, indexed)
+        << sql << "\n" << text;
+    EXPECT_EQ(db.stats().full_scans.load() - scans_before, tables - indexed)
+        << sql << "\n" << text;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ExplainPropertyTest,
+                         ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace hedc::db

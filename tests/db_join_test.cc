@@ -1,8 +1,9 @@
 // Hash-join executor tests: two- and three-table equi-joins, NULL key
 // semantics, duplicate-key fan-out, empty build sides, WHERE pushdown,
 // residual ON conjuncts, joined grouped aggregation, planner knobs,
-// EXPLAIN pipeline rendering, vectorized-vs-row equivalence, and a
-// join-vs-DML concurrency stress lane.
+// EXPLAIN pipeline rendering, vectorized-vs-row equivalence (including
+// the parallel partitioned build), scan accounting, and a join-vs-DML
+// concurrency stress lane.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/config.h"
+#include "core/metrics.h"
 #include "db/database.h"
 #include "db/explain.h"
 
@@ -352,25 +353,22 @@ TEST_F(JoinTest, RowAndVectorizedModesAgree) {
       "LIMIT 20",
   };
   struct Knobs {
-    const char* vectorized;
-    const char* planner;
-    const char* partitions;
+    bool vectorized;
+    bool planner;
   };
   const std::vector<Knobs> combos = {
-      {"true", "true", "8"},
-      {"true", "true", "1"},
-      {"true", "false", "8"},
-      {"false", "true", "8"},
-      {"false", "false", "8"},
+      {true, true},
+      {true, false},
+      {false, true},
+      {false, false},
   };
   for (const std::string& sql : queries) {
     std::vector<std::vector<Row>> results;
     for (const Knobs& k : combos) {
-      Config config;
-      config.Set("db.vectorized", k.vectorized);
-      config.Set("db.join_planner", k.planner);
-      config.Set("db.join_partitions", k.partitions);
-      db_.Configure(config);
+      ExecOptions opts = db_.exec_options();
+      opts.vectorized = k.vectorized;
+      opts.join_planner = k.planner;
+      db_.set_exec_options(opts);
       auto r = db_.Execute(sql);
       ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
       results.push_back(r.value().rows);
@@ -417,9 +415,9 @@ TEST_F(JoinTest, ExplainRendersGroupAggregateStage) {
 TEST_F(JoinTest, PlannerOffDrivesFromFirstTable) {
   // With the cost-based planner off, FROM order wins: archives (4 rows)
   // drives and the 200-row entries side is built.
-  Config config;
-  config.Set("db.join_planner", "false");
-  db_.Configure(config);
+  ExecOptions opts = db_.exec_options();
+  opts.join_planner = false;
+  db_.set_exec_options(opts);
   auto plan = ExplainSelect(
       &db_,
       "SELECT entries.entry_id FROM archives JOIN entries ON "
@@ -428,9 +426,8 @@ TEST_F(JoinTest, PlannerOffDrivesFromFirstTable) {
   EXPECT_NE(plan.value().ToString().find("HASH JOIN build entries"),
             std::string::npos)
       << plan.value().ToString();
-  Config back;  // Configure folds onto current options; flip it back
-  back.Set("db.join_planner", "true");
-  db_.Configure(back);
+  opts.join_planner = true;
+  db_.set_exec_options(opts);
   // Planner on flips the build side back to archives.
   auto plan2 = ExplainSelect(
       &db_,
@@ -511,6 +508,135 @@ TEST_F(JoinTest, JoinVsDmlStress) {
   stop.store(true);
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// A joined SELECT reads its tables through the same access path as a
+// single-table one, so it feeds the same counters: the DbStats and the
+// process-wide /metrics series tick in step, and a dangling index entry
+// met by a join is counted, not returned.
+TEST(JoinAccountingTest, JoinedSelectFeedsScanMetrics) {
+  Counter* scanned_metric =
+      MetricsRegistry::Default()->GetCounter("db.rows_scanned");
+  Counter* matched_metric =
+      MetricsRegistry::Default()->GetCounter("db.rows_matched");
+  Counter* stale_metric =
+      MetricsRegistry::Default()->GetCounter("db.stale_index_entries");
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE a (id INT PRIMARY KEY, v INT)").ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE b (id INT PRIMARY KEY)").ok());
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(db.Execute("INSERT INTO a VALUES (?, ?)",
+                           {Value::Int(i), Value::Int(i % 10)})
+                    .ok());
+    ASSERT_TRUE(db.Execute("INSERT INTO b VALUES (?)", {Value::Int(i)}).ok());
+  }
+  const std::string sql =
+      "SELECT a.v FROM b JOIN a ON a.id = b.id WHERE a.v = 3";
+  for (bool vectorized : {true, false}) {
+    ExecOptions opts = db.exec_options();
+    opts.vectorized = vectorized;
+    db.set_exec_options(opts);
+    const int64_t examined_before = db.stats().rows_examined.load();
+    const int64_t matched_before = db.stats().rows_matched.load();
+    const int64_t scanned_metric_before = scanned_metric->Value();
+    const int64_t matched_metric_before = matched_metric->Value();
+    auto r = db.Execute(sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().num_rows(), 5u);
+    // Both tables are scanned in full: 50 + 50 rows. Survivors: all of
+    // b, and the 5 rows of a with v = 3.
+    EXPECT_EQ(db.stats().rows_examined.load() - examined_before, 100);
+    EXPECT_EQ(db.stats().rows_matched.load() - matched_before, 55);
+    EXPECT_EQ(scanned_metric->Value() - scanned_metric_before, 100)
+        << "vectorized " << vectorized;
+    EXPECT_EQ(matched_metric->Value() - matched_metric_before, 55)
+        << "vectorized " << vectorized;
+  }
+
+  // A dangling b-tree entry under a.v = 3 is skipped and counted.
+  ASSERT_TRUE(db.Execute("CREATE INDEX a_by_v ON a (v)").ok());
+  db.GetTable("a")->mutable_btree("a_by_v")->Insert(Value::Int(3), 999999);
+  const int64_t stale_before = db.stats().stale_index_entries.load();
+  const int64_t stale_metric_before = stale_metric->Value();
+  auto r = db.Execute(sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().num_rows(), 5u);
+  EXPECT_EQ(db.stats().stale_index_entries.load() - stale_before, 1);
+  EXPECT_EQ(stale_metric->Value() - stale_metric_before, 1);
+}
+
+// The vectorized join against the row-at-a-time oracle at a size where
+// the build side (9,000 rows) fills a partitioned hash table in
+// parallel (≥ 8,192 rows, 4 scan threads: 8 partitions) and the
+// 12,000-row driver probes in parallel batches whose partial
+// aggregates merge.
+TEST(JoinAccountingTest, ParallelPartitionedBuildMatchesRowAtATime) {
+  Database vec_db;
+  Database row_db;
+  ExecOptions on;
+  on.scan_threads = 4;
+  vec_db.set_exec_options(on);
+  ExecOptions off;
+  off.vectorized = false;
+  row_db.set_exec_options(off);
+  for (Database* db : {&vec_db, &row_db}) {
+    ASSERT_TRUE(db->Execute("CREATE TABLE f (id INT PRIMARY KEY, k INT, "
+                            "v INT)")
+                    .ok());
+    ASSERT_TRUE(db->Execute("CREATE TABLE d (k INT, name TEXT)").ok());
+    ASSERT_TRUE(db->Execute("CREATE TABLE g (name TEXT, r INT)").ok());
+    for (int i = 0; i < 12000; ++i) {
+      ASSERT_TRUE(db->Execute("INSERT INTO f VALUES (?, ?, ?)",
+                              {Value::Int(i),
+                               i % 11 == 0 ? Value::Null()
+                                           : Value::Int((i * 7) % 9500),
+                               Value::Int(i % 97)})
+                      .ok());
+    }
+    // Keys 0..8999, every 10th twice (fan-out), every 13th NULL; f's
+    // keys 9000..9499 dangle.
+    for (int k = 0; k < 9000; ++k) {
+      const Value key = k % 13 == 0 ? Value::Null() : Value::Int(k);
+      ASSERT_TRUE(db->Execute("INSERT INTO d VALUES (?, ?)",
+                              {key, Value::Text("n" + std::to_string(k % 4))})
+                      .ok());
+      if (k % 10 == 0) {
+        ASSERT_TRUE(db->Execute("INSERT INTO d VALUES (?, 'dup')", {key})
+                        .ok());
+      }
+    }
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(db->Execute("INSERT INTO g VALUES (?, ?)",
+                              {Value::Text("n" + std::to_string(i)),
+                               Value::Int(i * 100)})
+                      .ok());
+    }
+  }
+  const std::vector<std::string> queries = {
+      "SELECT f.id, d.name FROM f JOIN d ON f.k = d.k",
+      "SELECT f.id, d.name FROM f JOIN d ON f.k = d.k WHERE f.v < 50",
+      "SELECT f.id, d.k, g.r FROM f JOIN d ON f.k = d.k "
+      "JOIN g ON g.name = d.name",
+      "SELECT d.name, COUNT(*), SUM(f.v), MIN(f.id), MAX(f.id) FROM f "
+      "JOIN d ON f.k = d.k GROUP BY d.name",
+      "SELECT f.id FROM f JOIN d ON f.k = d.k ORDER BY f.v DESC LIMIT 100",
+      // Merged partials of a parallel single-table aggregate, too.
+      "SELECT v, COUNT(*), MIN(id), MAX(id) FROM f GROUP BY v",
+  };
+  for (const std::string& sql : queries) {
+    auto want = row_db.Execute(sql);
+    auto got = vec_db.Execute(sql);
+    ASSERT_TRUE(want.ok()) << sql << ": " << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+    ASSERT_GT(want.value().num_rows(), 0u) << sql;
+    ASSERT_EQ(got.value().num_rows(), want.value().num_rows()) << sql;
+    for (size_t i = 0; i < want.value().num_rows(); ++i) {
+      for (size_t j = 0; j < want.value().rows[i].size(); ++j) {
+        ASSERT_EQ(got.value().rows[i][j].Compare(want.value().rows[i][j]), 0)
+            << sql << " row " << i << " col " << j;
+      }
+    }
+  }
 }
 
 }  // namespace

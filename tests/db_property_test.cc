@@ -264,7 +264,6 @@ TEST_P(SqlPropertyTest, JoinedQueriesMatchRowAtATime) {
     on.zone_maps = true;
     on.morsel_rows = 32;
     on.scan_threads = 4;
-    on.join_partitions = 4;
     vec_db.set_exec_options(on);
     ExecOptions off;
     off.vectorized = false;

@@ -7,7 +7,6 @@
 #include <set>
 #include <vector>
 
-#include "core/config.h"
 #include "core/thread_pool.h"
 #include "db/data_chunk.h"
 #include "db/database.h"
@@ -366,12 +365,12 @@ TEST(ParallelScanTest, SmallTablesStaySerial) {
 }
 
 TEST(DatabaseExecTest, ConfigureControlsVectorizedExecution) {
-  Config config;
-  config.Set("db.vectorized", "false");
-  config.Set("db.morsel_rows", "32");
+  ExecOptions opts;
+  opts.vectorized = false;
+  opts.morsel_rows = 32;
 
   Database db;
-  db.Configure(config);
+  db.set_exec_options(opts);
   EXPECT_FALSE(db.exec_options().vectorized);
   EXPECT_EQ(db.exec_options().morsel_rows, 32);
 
@@ -387,11 +386,9 @@ TEST(DatabaseExecTest, ConfigureControlsVectorizedExecution) {
   auto off = db.Execute("SELECT id FROM t WHERE v = 3");
   ASSERT_TRUE(off.ok());
 
-  Config on;
-  on.Set("db.vectorized", "true");
-  db.Configure(on);
+  opts.vectorized = true;
+  db.set_exec_options(opts);
   EXPECT_TRUE(db.exec_options().vectorized);
-  EXPECT_EQ(db.exec_options().morsel_rows, 32);  // unset keys keep values
   auto vec = db.Execute("SELECT id FROM t WHERE v = 3");
   ASSERT_TRUE(vec.ok());
   ASSERT_EQ(vec.value().num_rows(), off.value().num_rows());
